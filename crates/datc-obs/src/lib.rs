@@ -1,5 +1,5 @@
 //! Unified observability for the datc stack: a lock-light metrics
-//! registry, two exporters, and a stage-clock span API.
+//! registry and two exporters.
 //!
 //! Every operational number the workspace produces — hub health, decode
 //! books, fleet throughput, per-session latency — flows through one
@@ -16,11 +16,6 @@
 //!   observations; one relaxed `fetch_add` per observation, and the
 //!   bucket counts are exact integers, so a histogram filled from a
 //!   deterministic tick-domain measurement is bit-reproducible.
-//! * [`StageClock`] — marks an event batch's journey through the
-//!   pipeline stages (encode → packetize → transport → decode → emit)
-//!   in any monotonic `u64` domain (clock ticks for determinism,
-//!   nanoseconds for wall clock) and records the per-leg latencies into
-//!   registry histograms.
 //!
 //! Two exporters render a registry snapshot with stable, documented
 //! names: [`render_prometheus`] (text scrape format) and
@@ -57,10 +52,8 @@
 
 pub mod export;
 pub mod registry;
-pub mod span;
 
 pub use export::{render_json, render_prometheus};
 pub use registry::{
     BucketCount, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, BUCKETS,
 };
-pub use span::{Stage, StageClock, StageHistograms};

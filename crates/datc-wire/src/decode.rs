@@ -19,8 +19,7 @@
 //!   session nonce (a CRC-8 of the HELLO, see
 //!   [`SessionHeader::nonce`]); a frame whose nonce disagrees with the
 //!   decoded HELLO is counted as *foreign* and dropped instead of
-//!   polluting the stream. Revision-1 DATA frames (no nonce) are still
-//!   accepted.
+//!   polluting the stream.
 //!
 //! The BYE frame closes the books: it carries per-channel sent totals,
 //! turning the receiver's tallies into exact per-channel loss figures.
@@ -89,15 +88,6 @@ pub struct WireStats {
     /// HELLO — traffic from another session leaking in over a reused
     /// transport address.
     pub foreign_frames: u64,
-    /// Revision-1 DATA frames decoded (no session nonce). Legacy
-    /// traffic from [`Packetizer::with_legacy_data_frames`]
-    /// (deprecated): it still carries the reused-address
-    /// misattribution hazard DATA-V2 closed — monitor this counter to
-    /// find senders that need upgrading.
-    ///
-    /// [`Packetizer::with_legacy_data_frames`]:
-    ///     crate::packet::Packetizer::with_legacy_data_frames
-    pub legacy_frames: u64,
     /// Events delivered to the application, in time order.
     pub events_decoded: u64,
     /// Events known lost: declared gaps, plus — once the BYE closes the
@@ -136,7 +126,6 @@ impl WireStats {
         self.malformed_frames += other.malformed_frames;
         self.orphan_frames += other.orphan_frames;
         self.foreign_frames += other.foreign_frames;
-        self.legacy_frames += other.legacy_frames;
         self.events_decoded += other.events_decoded;
         self.events_lost += other.events_lost;
         self.gaps += other.gaps;
@@ -181,7 +170,6 @@ impl WireStats {
             malformed_frames: 0,
             orphan_frames: 0,
             foreign_frames: 0,
-            legacy_frames: 0,
             events_decoded: 0,
             events_lost: 0,
             gaps: 0,
@@ -212,8 +200,6 @@ pub struct WireCounters {
     pub orphan_frames: u64,
     /// DATA-V2 frames rejected for a foreign session nonce.
     pub foreign_frames: u64,
-    /// Revision-1 DATA frames decoded.
-    pub legacy_frames: u64,
     /// Events delivered to the application.
     pub events_decoded: u64,
     /// Events known lost.
@@ -300,7 +286,6 @@ pub struct StreamDecoder {
     malformed_frames: u64,
     orphan_frames: u64,
     foreign_frames: u64,
-    legacy_frames: u64,
     events_decoded: u64,
     events_lost: u64,
     gaps: u64,
@@ -352,7 +337,6 @@ impl StreamDecoder {
             malformed_frames: 0,
             orphan_frames: 0,
             foreign_frames: 0,
-            legacy_frames: 0,
             events_decoded: 0,
             events_lost: 0,
             gaps: 0,
@@ -469,13 +453,6 @@ impl StreamDecoder {
                     self.frames += 1;
                     match ftype {
                         FrameType::Hello => self.on_hello(payload),
-                        FrameType::Data => {
-                            // Count revision-1 traffic here, not in
-                            // on_data: the V2 path delegates to
-                            // on_data after its nonce check.
-                            self.legacy_frames += 1;
-                            self.on_data(payload);
-                        }
                         FrameType::DataV2 => self.on_data_v2(payload),
                         FrameType::Bye => self.on_bye(payload),
                         // FEEDBACK travels receiver→sender; one looping
@@ -558,7 +535,6 @@ impl StreamDecoder {
             malformed_frames: self.malformed_frames,
             orphan_frames: self.orphan_frames,
             foreign_frames: self.foreign_frames,
-            legacy_frames: self.legacy_frames,
             events_decoded: self.events_decoded,
             events_lost: self.events_lost,
             gaps: self.gaps,
@@ -582,7 +558,6 @@ impl StreamDecoder {
             malformed_frames: self.malformed_frames,
             orphan_frames: self.orphan_frames,
             foreign_frames: self.foreign_frames,
-            legacy_frames: self.legacy_frames,
             events_decoded: self.events_decoded,
             events_lost: self.events_lost,
             gaps: self.gaps,
@@ -722,7 +697,7 @@ impl StreamDecoder {
     }
 
     /// DATA-V2: the leading nonce byte must match this session's before
-    /// the rest of the payload is decoded exactly like revision 1.
+    /// the rest of the payload goes to [`on_data`](Self::on_data).
     fn on_data_v2(&mut self, payload: std::ops::Range<usize>) {
         let Some(expected) = self.nonce else {
             self.orphan_frames += 1;
@@ -1025,7 +1000,7 @@ mod tests {
         // packets, and overlap between a parked packet and the
         // in-order path.
         use crate::frame::{encode_frame, FrameType};
-        use crate::packet::{encode_data, WireEvent};
+        use crate::packet::{encode_data_v2, WireEvent};
 
         let header = SessionHeader::new(1, 1, 2000.0, 10.0);
         let forged = |seq: u16, first: u64, ticks: std::ops::Range<u64>| {
@@ -1036,7 +1011,8 @@ mod tests {
                     code: None,
                 })
                 .collect();
-            encode_frame(FrameType::Data, seq, &encode_data(first, &events))
+            let payload = encode_data_v2(header.nonce(), first, &events);
+            encode_frame(FrameType::DataV2, seq, &payload)
         };
 
         // parked-vs-parked overlap, resolved at end-of-stream
@@ -1069,41 +1045,50 @@ mod tests {
     }
 
     #[test]
-    fn legacy_revision_1_data_frames_are_still_accepted() {
-        let header = SessionHeader::new(11, 4, 2000.0, 30.0);
-        let events: Vec<AddressedEvent> = (0..64)
-            .map(|i| AddressedEvent {
-                channel: (i % 4) as u8,
-                event: Event::at_tick(i * 13, header.tick_period_s, Some((i % 16) as u8)),
-            })
-            .collect();
-        let mut tx = Packetizer::new(header)
-            .with_events_per_frame(16)
-            .with_legacy_data_frames();
-        let mut rx = StreamDecoder::new();
-        rx.push_bytes(&tx.hello());
-        for f in tx.data_frames(&events) {
-            rx.push_bytes(&f);
-        }
-        rx.push_bytes(&tx.bye());
-        assert_eq!(decoded(&mut rx), events);
-        let s = rx.stats();
-        assert_eq!(s.events_lost, 0);
-        assert_eq!(s.foreign_frames, 0);
-        // Revision-1 traffic is flagged so operators can hunt down
-        // senders still exposed to the reused-address hazard.
-        assert_eq!(s.legacy_frames, 4, "one per DATA frame");
-    }
+    fn retired_revision_1_data_frame_is_skipped_whole() {
+        // A CRC-valid 0x02 frame (the retired nonce-less DATA revision)
+        // carrying a plausible payload lands between V2 frames: it
+        // decodes no events, and the V2 books around it close exactly.
+        use crate::frame::encode_frame;
+        use crate::packet::{encode_data, WireEvent};
 
-    #[test]
-    fn v2_data_frames_do_not_count_as_legacy() {
         let (_, frames, events) = session_frames(40, 10);
+        let stray = WireEvent {
+            addr: 0,
+            tick: 5,
+            code: None,
+        };
+        let mut rev1 = encode_frame(FrameType::DataV2, 99, &encode_data(10, &[stray]));
+        rev1[2] = 0x02;
+        let n = rev1.len();
+        let crc = datc_uwb::crc::crc16_ccitt(&rev1[2..n - 2]);
+        rev1[n - 2..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            parse_frame(&rev1),
+            ParseOutcome::Skip {
+                skip,
+                crc_failure: false
+            } if skip == n
+        ));
+
         let mut rx = StreamDecoder::new();
-        for f in &frames {
+        for (i, f) in frames.iter().enumerate() {
             rx.push_bytes(f);
+            if i == 1 {
+                rx.push_bytes(&rev1);
+            }
         }
-        assert_eq!(decoded(&mut rx), events);
-        assert_eq!(rx.stats().legacy_frames, 0);
+        assert_eq!(decoded(&mut rx), events, "no event from the 0x02 frame");
+        let s = rx.stats();
+        assert_eq!(s.events_decoded, 40);
+        assert_eq!(s.events_lost, 0);
+        assert_eq!((s.crc_failures, s.malformed_frames), (0, 0));
+        assert_eq!(s.duplicate_frames, 0);
+        assert_eq!(s.frames, frames.len() as u64, "only V2 frames accepted");
+        assert!(s.closed);
+        for (ch, c) in s.per_channel.iter().enumerate() {
+            assert_eq!(c.lost, Some(0), "channel {ch}");
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! ```text
 //!  offset  size  field
 //!  0       2     sync word 0xD4 0x7C
-//!  2       1     frame type (0x01 HELLO, 0x02 DATA, 0x03 BYE,
-//!                0x04 DATA-V2, 0x05 FEEDBACK)
+//!  2       1     frame type (0x01 HELLO, 0x03 BYE, 0x04 DATA-V2,
+//!                0x05 FEEDBACK; 0x02, the retired revision-1 DATA,
+//!                is skipped whole like any unknown type)
 //!  3       2     sequence number, u16 LE (wraps)
 //!  5       2     payload length, u16 LE
 //!  7       n     payload
@@ -35,14 +36,11 @@ pub const MAX_PAYLOAD: usize = 4096;
 pub enum FrameType {
     /// Session handshake: timebase, channel count, duration.
     Hello,
-    /// A batch of delta-compressed addressed events.
-    Data,
     /// Session close: per-channel sent totals for exact loss accounting.
     Bye,
-    /// Revision 2 of DATA: a one-byte session nonce precedes the event
-    /// payload, pinning every DATA frame to the HELLO it belongs to
-    /// (closes the reused-transport-address misattribution corner).
-    /// Revision-1 decoders skip it whole — CRC-valid unknown type.
+    /// A batch of delta-compressed addressed events behind a one-byte
+    /// session nonce that pins every DATA frame to the HELLO it belongs
+    /// to (closes the reused-transport-address misattribution corner).
     DataV2,
     /// Receiver→sender flow-control report: highest-contiguous event
     /// index, cumulative exact loss, reorder-buffer occupancy and a hub
@@ -57,7 +55,6 @@ impl FrameType {
     pub fn to_byte(self) -> u8 {
         match self {
             FrameType::Hello => 0x01,
-            FrameType::Data => 0x02,
             FrameType::Bye => 0x03,
             FrameType::DataV2 => 0x04,
             FrameType::Feedback => 0x05,
@@ -68,7 +65,6 @@ impl FrameType {
     pub fn from_byte(b: u8) -> Option<FrameType> {
         match b {
             0x01 => Some(FrameType::Hello),
-            0x02 => Some(FrameType::Data),
             0x03 => Some(FrameType::Bye),
             0x04 => Some(FrameType::DataV2),
             0x05 => Some(FrameType::Feedback),
@@ -98,7 +94,7 @@ pub struct Frame<'a> {
 ///
 /// ```
 /// use datc_wire::frame::{encode_frame, parse_frame, FrameType, ParseOutcome};
-/// let bytes = encode_frame(FrameType::Data, 7, &[1, 2, 3]);
+/// let bytes = encode_frame(FrameType::DataV2, 7, &[1, 2, 3]);
 /// match parse_frame(&bytes) {
 ///     ParseOutcome::Frame { frame, consumed } => {
 ///         assert_eq!(frame.seq, 7);
@@ -248,7 +244,6 @@ mod tests {
     fn round_trips_all_types() {
         for (ftype, seq) in [
             (FrameType::Hello, 0u16),
-            (FrameType::Data, 41),
             (FrameType::Bye, u16::MAX),
             (FrameType::DataV2, 1000),
             (FrameType::Feedback, 12),
@@ -263,7 +258,7 @@ mod tests {
 
     #[test]
     fn partial_frame_waits_for_more() {
-        let bytes = encode_frame(FrameType::Data, 3, &[9; 100]);
+        let bytes = encode_frame(FrameType::DataV2, 3, &[9; 100]);
         for cut in [0, 1, 3, HEADER_LEN, bytes.len() - 1] {
             assert_eq!(parse_frame(&bytes[..cut]), ParseOutcome::NeedMore);
         }
@@ -271,7 +266,7 @@ mod tests {
 
     #[test]
     fn corrupted_crc_is_flagged_and_skipped() {
-        let mut bytes = encode_frame(FrameType::Data, 3, &[1, 2, 3]);
+        let mut bytes = encode_frame(FrameType::DataV2, 3, &[1, 2, 3]);
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF;
         match parse_frame(&bytes) {
@@ -304,7 +299,7 @@ mod tests {
 
     #[test]
     fn insane_length_field_does_not_stall_the_scanner() {
-        let mut bytes = encode_frame(FrameType::Data, 0, &[1]);
+        let mut bytes = encode_frame(FrameType::DataV2, 0, &[1]);
         bytes[5] = 0xFF;
         bytes[6] = 0xFF; // length 65535 > MAX_PAYLOAD
         assert!(matches!(

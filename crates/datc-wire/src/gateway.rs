@@ -60,6 +60,7 @@ use datc_obs::{Counter, Gauge, Registry};
 use datc_uwb::aer::AddressedEvent;
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -408,12 +409,6 @@ impl SessionTable {
         occupancy.saturating_add(boost).min(255) as u8
     }
 
-    /// A fresh session entered service.
-    pub(crate) fn note_started(&self) {
-        self.health.started.inc();
-        self.health.update_in_flight();
-    }
-
     /// A reconnect adopted a parked session.
     pub(crate) fn note_resumed(&self) {
         self.health.resumed.inc();
@@ -422,16 +417,6 @@ impl SessionTable {
     /// A connection/peer was turned away at the session cap.
     pub(crate) fn note_shed(&self) {
         self.health.shed.inc();
-    }
-
-    /// A session was force-retired with open books (idle or stalled).
-    pub(crate) fn note_evicted(&self) {
-        self.health.evicted.inc();
-    }
-
-    /// A session blew its framing-garbage budget.
-    pub(crate) fn note_quarantined(&self) {
-        self.health.quarantined.inc();
     }
 
     /// Number of finished sessions recorded.
@@ -456,6 +441,25 @@ impl SessionTable {
 /// Builds one [`SessionSink`] per accepted session; the argument is the
 /// hub-assigned connection id.
 pub type SinkFactory = Arc<dyn Fn(u64) -> Box<dyn SessionSink> + Send + Sync>;
+
+/// A telemetry ingest gateway bound to a local address: a background
+/// thread (the TCP acceptor with its per-connection workers, or the UDP
+/// receive loop) serves sessions into a [`SessionTable`] until
+/// [`shutdown`](Hub::shutdown). Use it as [`TelemetryHub`] (TCP) or
+/// [`UdpTelemetryHub`](crate::udp::UdpTelemetryHub); `K` is the
+/// transport marker ([`Tcp`] or [`Udp`](crate::udp::Udp)).
+#[derive(Debug)]
+pub struct Hub<K> {
+    addr: SocketAddr,
+    table: Arc<SessionTable>,
+    stop: Arc<AtomicBool>,
+    worker: Option<JoinHandle<()>>,
+    kind: PhantomData<K>,
+}
+
+/// Transport marker of [`TelemetryHub`].
+#[derive(Debug)]
+pub enum Tcp {}
 
 /// A telemetry ingest gateway bound to a local TCP address.
 ///
@@ -483,12 +487,88 @@ pub type SinkFactory = Arc<dyn Fn(u64) -> Box<dyn SessionSink> + Send + Sync>;
 /// assert_eq!(sessions[0].report.stats.events_decoded, 40);
 /// assert_eq!(sessions[0].report.stats.events_lost, 0);
 /// ```
-#[derive(Debug)]
-pub struct TelemetryHub {
-    addr: SocketAddr,
-    table: Arc<SessionTable>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+pub type TelemetryHub = Hub<Tcp>;
+
+impl<K> Hub<K> {
+    /// Starts `serve(table, stop)` on the hub's background thread.
+    pub(crate) fn spawn(
+        addr: SocketAddr,
+        table: Arc<SessionTable>,
+        serve: impl FnOnce(Arc<SessionTable>, Arc<AtomicBool>) + Send + 'static,
+    ) -> Hub<K> {
+        let stop = Arc::new(AtomicBool::new(false));
+        let worker = {
+            let table = Arc::clone(&table);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || serve(table, stop))
+        };
+        Hub {
+            addr,
+            table,
+            stop,
+            worker: Some(worker),
+            kind: PhantomData,
+        }
+    }
+
+    /// The bound address (the port to point senders at).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The shared session table (hand it to a hub of the other
+    /// transport for a mixed-transport deployment).
+    pub fn session_table(&self) -> Arc<SessionTable> {
+        Arc::clone(&self.table)
+    }
+
+    /// Number of *finished* sessions in the table (a TCP session lands
+    /// once its socket closes, a UDP peer once its BYE is decoded or the
+    /// hub shuts down).
+    pub fn session_count(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Aggregated [`HubHealth`] snapshot, shared with every hub using
+    /// the same session table (so it covers both transports when the
+    /// table is shared).
+    pub fn health(&self) -> HubHealth {
+        self.table.health()
+    }
+
+    /// The shared metrics registry (hub roll-ups plus the per-session
+    /// series of every in-flight session) — render it with
+    /// [`datc_obs::render_prometheus`] or [`datc_obs::render_json`].
+    pub fn registry(&self) -> Registry {
+        self.table.registry().clone()
+    }
+
+    /// Clones the current session table (finished sessions only).
+    pub fn snapshot(&self) -> Vec<HubSession> {
+        self.table.snapshot()
+    }
+
+    /// Stops accepting new sessions, serves every session already in
+    /// flight to completion — established TCP connections run to their
+    /// end, datagrams already delivered to the UDP socket are drained
+    /// and every in-flight peer is finished — and returns the final
+    /// session table. Each decoded event reaches its sink exactly once.
+    pub fn shutdown(mut self) -> Vec<HubSession> {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(h) = self.worker.take() {
+            let _ = h.join();
+        }
+        self.snapshot()
+    }
+}
+
+impl<K> Drop for Hub<K> {
+    fn drop(&mut self) {
+        if let Some(h) = self.worker.take() {
+            self.stop.store(true, Ordering::SeqCst);
+            let _ = h.join();
+        }
+    }
 }
 
 impl TelemetryHub {
@@ -518,84 +598,96 @@ impl TelemetryHub {
         validate_config(&config)?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let table = Arc::clone(&table);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(listener, config, table, sink_factory, stop))
-        };
-        Ok(TelemetryHub {
-            addr,
-            table,
-            stop,
-            acceptor: Some(acceptor),
-        })
-    }
-
-    /// The bound address (the port to point senders at).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The shared session table (hand it to a
-    /// [`UdpTelemetryHub`](crate::udp::UdpTelemetryHub) for a
-    /// mixed-transport deployment).
-    pub fn session_table(&self) -> Arc<SessionTable> {
-        Arc::clone(&self.table)
-    }
-
-    /// Number of *finished* sessions in the table.
-    pub fn session_count(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Aggregated [`HubHealth`] snapshot (shared with every hub using
-    /// the same session table).
-    pub fn health(&self) -> HubHealth {
-        self.table.health()
-    }
-
-    /// The shared metrics registry (hub roll-ups plus the per-session
-    /// series of every in-flight session) — render it with
-    /// [`datc_obs::render_prometheus`] or [`datc_obs::render_json`].
-    pub fn registry(&self) -> Registry {
-        self.table.registry().clone()
-    }
-
-    /// Clones the current session table (finished sessions only;
-    /// in-flight connections appear once their socket closes).
-    pub fn snapshot(&self) -> Vec<HubSession> {
-        self.table.snapshot()
-    }
-
-    /// Stops accepting, waits for every in-flight session to finish, and
-    /// returns the final session table. Connections already established
-    /// when shutdown starts are still served to completion — their
-    /// events drain through the decoders (and sinks) exactly once.
-    pub fn shutdown(mut self) -> Vec<HubSession> {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        self.snapshot()
+        Ok(Hub::spawn(addr, table, move |table, stop| {
+            accept_loop(listener, config, table, sink_factory, stop)
+        }))
     }
 }
 
-impl Drop for TelemetryHub {
-    fn drop(&mut self) {
-        if let Some(h) = self.acceptor.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = h.join();
+/// Why a hub retired an in-flight session: decides which [`HubHealth`]
+/// counter [`LiveSession::finish`] bumps besides `sessions_finished`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EndReason {
+    /// The session ended on its own: BYE, EOF (when not parked for
+    /// resume), a takeover by the peer's next session, or hub shutdown.
+    Closed,
+    /// Force-retired with open books: a stalled socket, an idle peer, or
+    /// a parked session whose resume window expired or was displaced.
+    /// Counted in [`HubHealth::evicted`].
+    Evicted,
+    /// Over the framing-garbage budget. Counted in
+    /// [`HubHealth::quarantined`].
+    Quarantined,
+}
+
+/// One in-flight hub session, the same for both transports: the TCP hub
+/// runs one per connection (and parks it between connections), the UDP
+/// hub one per peer address.
+pub(crate) struct LiveSession {
+    conn_id: u64,
+    pub(crate) rx: SessionRx,
+    /// Bytes read off the transport.
+    pub(crate) bytes_received: u64,
+}
+
+impl LiveSession {
+    /// Opens a fresh session under `conn_id`: counts it started,
+    /// registers its per-session series (retired when it finishes) and
+    /// attaches the sink.
+    pub(crate) fn open(
+        table: &SessionTable,
+        conn_id: u64,
+        config: &SessionRxConfig,
+        sink: Option<Box<dyn SessionSink>>,
+    ) -> LiveSession {
+        table.health.started.inc();
+        table.health.update_in_flight();
+        let mut rx = SessionRx::new(config.clone()).with_metrics(
+            SessionObs::register(table.registry(), &conn_id.to_string()).with_retire_on_finish(),
+        );
+        if let Some(sink) = sink {
+            rx = rx.with_sink(sink);
         }
+        LiveSession {
+            conn_id,
+            rx,
+            bytes_received: 0,
+        }
+    }
+
+    /// Feeds received bytes; returns `true` when the session is now over
+    /// the framing-garbage `budget` (see [`HubConfig::malformed_budget`])
+    /// and must be quarantined.
+    pub(crate) fn ingest(&mut self, bytes: &[u8], budget: Option<u64>) -> bool {
+        self.bytes_received += bytes.len() as u64;
+        self.rx.push_bytes(bytes);
+        budget.is_some_and(|b| self.rx.framing_garbage() > b)
+    }
+
+    /// Retires the session: closes its books, bumps the health counter
+    /// `reason` names and lands the session in the table.
+    pub(crate) fn finish(self, reason: EndReason, table: &SessionTable) {
+        match reason {
+            EndReason::Closed => {}
+            EndReason::Evicted => table.health.evicted.inc(),
+            EndReason::Quarantined => table.health.quarantined.inc(),
+        }
+        let report = self.rx.finish();
+        table.insert(
+            self.conn_id,
+            HubSession {
+                session_id: report.header.map_or(0, |h| h.session_id),
+                bytes_received: self.bytes_received,
+                report,
+            },
+        );
     }
 }
 
 /// A disconnected-but-unclosed TCP session waiting for its sender to
 /// reconnect and resume.
 struct ParkedSession {
-    conn_id: u64,
-    rx: SessionRx,
-    bytes_received: u64,
+    session: LiveSession,
     expires: Instant,
 }
 
@@ -671,53 +763,25 @@ impl ResumeRegistry {
         self.parked.lock().expect("resume registry poisoned").len()
     }
 
-    /// Retires parked sessions whose resume window expired: their
-    /// decoded events are delivered and the session lands in the table
-    /// with open books, exactly like an idle UDP peer.
-    fn sweep(&self, table: &SessionTable) {
+    /// Retires parked sessions whose resume window expired by `now` —
+    /// every parked session when `now` is `None` (hub shutdown: nobody
+    /// is left to resume them). Decoded events are delivered and the
+    /// session lands in the table with open books, exactly like an idle
+    /// UDP peer.
+    fn sweep(&self, table: &SessionTable, now: Option<Instant>) {
         let expired: Vec<ParkedSession> = {
             let mut parked = self.parked.lock().expect("resume registry poisoned");
-            if parked.is_empty() {
-                return;
-            }
-            let now = Instant::now();
             let keys: Vec<(u32, u8)> = parked
                 .iter()
-                .filter(|(_, p)| p.expires <= now)
+                .filter(|(_, p)| now.is_none_or(|now| p.expires <= now))
                 .map(|(k, _)| *k)
                 .collect();
-            keys.into_iter().filter_map(|k| parked.remove(&k)).collect()
+            keys.iter().filter_map(|k| parked.remove(k)).collect()
         };
         for p in expired {
-            table.note_evicted();
-            finish_session(p.conn_id, p.bytes_received, p.rx, table);
+            p.session.finish(EndReason::Evicted, table);
         }
     }
-
-    /// Retires every parked session (hub shutdown).
-    fn drain(&self, table: &SessionTable) {
-        let all: Vec<ParkedSession> = {
-            let mut parked = self.parked.lock().expect("resume registry poisoned");
-            parked.drain().map(|(_, p)| p).collect()
-        };
-        for p in all {
-            table.note_evicted();
-            finish_session(p.conn_id, p.bytes_received, p.rx, table);
-        }
-    }
-}
-
-fn finish_session(conn_id: u64, bytes_received: u64, rx: SessionRx, table: &SessionTable) {
-    let report = rx.finish();
-    let session_id = report.header.map_or(0, |h| h.session_id);
-    table.insert(
-        conn_id,
-        HubSession {
-            session_id,
-            bytes_received,
-            report,
-        },
-    );
 }
 
 fn accept_loop(
@@ -738,9 +802,10 @@ fn accept_loop(
     let mut stopping = false;
     let mut last_sweep = Instant::now();
     loop {
-        if last_sweep.elapsed() >= SWEEP_EVERY {
-            resume.sweep(&table);
-            last_sweep = Instant::now();
+        let now = Instant::now();
+        if now.duration_since(last_sweep) >= SWEEP_EVERY {
+            resume.sweep(&table, Some(now));
+            last_sweep = now;
         }
         match listener.accept() {
             Ok((socket, _peer)) => {
@@ -792,24 +857,16 @@ fn accept_loop(
         let _ = h.join();
     }
     // Workers parked during shutdown have nobody left to resume them.
-    resume.drain(&table);
+    resume.sweep(&table, None);
 }
 
-/// How a TCP worker's read loop ended.
-enum ConnEnd {
-    /// EOF or a hard socket error — resumable when the books are open.
-    Closed,
-    /// The per-connection read timeout fired (stalled peer).
-    Stalled,
-    /// The session blew its framing-garbage budget.
-    Quarantined,
-}
-
-fn is_read_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+/// How a failed read ends a connection: the read timeout means a
+/// stalled peer (evicted), anything else a hard close.
+fn read_error_end(e: &std::io::Error) -> EndReason {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => EndReason::Evicted,
+        _ => EndReason::Closed,
+    }
 }
 
 /// What the preamble peek found at the front of a fresh connection.
@@ -840,7 +897,7 @@ fn serve_connection(
     // fresh decoder.
     let mut pre: Vec<u8> = Vec::new();
     let mut buf = [0u8; 4096];
-    let mut early_end: Option<ConnEnd> = None;
+    let mut early_end: Option<EndReason> = None;
     let hello: Option<SessionHeader> = loop {
         let peek = match parse_frame(&pre) {
             ParseOutcome::Frame { frame, .. } if frame.ftype == FrameType::Hello => {
@@ -855,16 +912,12 @@ fn serve_connection(
             Peek::NotHello => break None,
             Peek::More => match socket.read(&mut buf) {
                 Ok(0) => {
-                    early_end = Some(ConnEnd::Closed);
+                    early_end = Some(EndReason::Closed);
                     break None;
                 }
                 Ok(n) => pre.extend_from_slice(&buf[..n]),
-                Err(e) if is_read_timeout(&e) => {
-                    early_end = Some(ConnEnd::Stalled);
-                    break None;
-                }
-                Err(_) => {
-                    early_end = Some(ConnEnd::Closed);
+                Err(e) => {
+                    early_end = Some(read_error_end(&e));
                     break None;
                 }
             },
@@ -876,74 +929,50 @@ fn serve_connection(
         (Some(k), Some(_)) => resume.try_adopt(k, RESUME_HANDOFF),
         _ => None,
     };
-    let (conn_id, mut rx, mut bytes_received) = match adopted {
+    let mut session = match adopted {
         Some(p) => {
             table.note_resumed();
-            (p.conn_id, p.rx, p.bytes_received)
+            p.session
         }
-        None => {
-            table.note_started();
-            let mut rx = SessionRx::new(config.session.clone()).with_metrics(
-                SessionObs::register(table.registry(), &conn_id.to_string())
-                    .with_retire_on_finish(),
-            );
-            if let Some(sink) = sink {
-                rx = rx.with_sink(sink);
-            }
-            (conn_id, rx, 0u64)
-        }
+        None => LiveSession::open(table, conn_id, &config.session, sink),
     };
     if let Some(k) = key {
         resume.enter(k);
     }
 
-    bytes_received += pre.len() as u64;
-    rx.push_bytes(&pre);
-
-    let over_budget = |rx: &SessionRx| {
-        config
-            .malformed_budget
-            .is_some_and(|b| rx.framing_garbage() > b)
-    };
     // Writes the session's flow-control report back down the duplex
-    // connection when one is due (the session's cadence limiter makes
-    // the per-read call cheap). Best effort: a sender that never reads
-    // its receive half, or a half-closed socket, must not end the
-    // session — TCP's own flow control still paces the byte stream.
-    let send_feedback = |rx: &mut SessionRx, socket: &TcpStream| {
-        if let Some(fb) = rx.feedback_due(table.pressure_level(config.max_sessions)) {
+    // connection when one is due at `now` (the session's cadence
+    // limiter makes the per-read call cheap). Best effort: a sender
+    // that never reads its receive half, or a half-closed socket, must
+    // not end the session — TCP's own flow control still paces the
+    // byte stream.
+    let send_feedback = |session: &mut LiveSession, socket: &TcpStream, now: Instant| {
+        let pressure = table.pressure_level(config.max_sessions);
+        if let Some(fb) = session.rx.feedback_due(pressure, now) {
             let _ = (&*socket).write_all(&fb);
         }
     };
-    send_feedback(&mut rx, &socket);
+    let budget = config.malformed_budget;
+    let over_budget = session.ingest(&pre, budget);
+    send_feedback(&mut session, &socket, Instant::now());
 
-    let end = if let Some(end) = early_end {
-        end
-    } else if over_budget(&rx) {
-        ConnEnd::Quarantined
-    } else {
-        loop {
+    let end = match early_end {
+        Some(end) => end,
+        None if over_budget => EndReason::Quarantined,
+        None => loop {
             match socket.read(&mut buf) {
-                Ok(0) => break ConnEnd::Closed,
+                Ok(0) => break EndReason::Closed,
                 Ok(n) => {
-                    bytes_received += n as u64;
-                    rx.push_bytes(&buf[..n]);
-                    if over_budget(&rx) {
-                        break ConnEnd::Quarantined;
+                    if session.ingest(&buf[..n], budget) {
+                        break EndReason::Quarantined;
                     }
-                    send_feedback(&mut rx, &socket);
+                    send_feedback(&mut session, &socket, Instant::now());
                 }
-                Err(e) if is_read_timeout(&e) => break ConnEnd::Stalled,
-                Err(_) => break ConnEnd::Closed,
+                Err(e) => break read_error_end(&e),
             }
-        }
+        },
     };
 
-    match end {
-        ConnEnd::Stalled => table.note_evicted(),
-        ConnEnd::Quarantined => table.note_quarantined(),
-        ConnEnd::Closed => {}
-    }
     // A connection that dropped cleanly mid-session (no BYE) parks for
     // resume; everything else — closed books, stalls, quarantines, or
     // resume disabled — finishes into the table now.
@@ -954,24 +983,15 @@ fn serve_connection(
     // first would open a window where neither the park nor the
     // in-flight mark is visible and the reconnect would start a fresh
     // session, booking the entire delivered prefix as gap loss.
-    let resumable = matches!(end, ConnEnd::Closed) && !rx.is_closed() && key.is_some();
-    match (resumable, config.resume_window) {
-        (true, Some(window)) => {
-            let displaced = resume.park(
-                key.expect("resumable implies key"),
-                ParkedSession {
-                    conn_id,
-                    rx,
-                    bytes_received,
-                    expires: Instant::now() + window,
-                },
-            );
-            if let Some(p) = displaced {
-                table.note_evicted();
-                finish_session(p.conn_id, p.bytes_received, p.rx, table);
+    let resumable = end == EndReason::Closed && !session.rx.is_closed();
+    match (key, config.resume_window) {
+        (Some(k), Some(window)) if resumable => {
+            let expires = Instant::now() + window;
+            if let Some(displaced) = resume.park(k, ParkedSession { session, expires }) {
+                displaced.session.finish(EndReason::Evicted, table);
             }
         }
-        _ => finish_session(conn_id, bytes_received, rx, table),
+        _ => session.finish(end, table),
     }
     if let Some(k) = key {
         resume.leave(k);
@@ -1095,6 +1115,209 @@ pub struct ClientReport {
     pub gave_up: bool,
 }
 
+/// The transport-independent half of a sender: the packetizer, the
+/// retry policy and its tallies, the optional chaos link and the
+/// transmit instrumentation. A [`Transport`]'s write path books its
+/// retries and give-ups here.
+#[derive(Debug)]
+pub struct SenderCore {
+    pub(crate) packetizer: Packetizer,
+    pub(crate) retry: RetryPolicy,
+    chaos: Option<ChaosLink>,
+    pub(crate) retries: u64,
+    pub(crate) gave_up: bool,
+    obs: Option<TxObs>,
+}
+
+impl SenderCore {
+    fn sync_obs(&self) {
+        if let Some(obs) = &self.obs {
+            obs.sync(&self.packetizer);
+        }
+    }
+}
+
+/// The write path a [`Sender`] runs over: [`TcpTransport`] behind
+/// [`SessionSender`], [`UdpTransport`](crate::udp::UdpTransport) behind
+/// [`UdpSessionSender`](crate::udp::UdpSessionSender). Packetizing,
+/// chaos routing, metrics and the client report belong to the sender,
+/// once for both; the hooks below default to doing nothing.
+pub trait Transport {
+    /// Writes one framed chunk, retrying under `core`'s policy and
+    /// booking retries and give-ups there.
+    fn write(&mut self, core: &mut SenderCore, frame: &[u8]) -> std::io::Result<()>;
+
+    /// The chaos link declared the connection dead at this point.
+    fn disconnect(&mut self) {}
+
+    /// A batch of DATA frames went out, the first one carrying
+    /// cumulative event index `first_index`.
+    fn sent(
+        &mut self,
+        _core: &mut SenderCore,
+        _first_index: u64,
+        _frames: &[Vec<u8>],
+    ) -> std::io::Result<()> {
+        Ok(())
+    }
+
+    /// Runs after the last DATA frame, before the BYE.
+    fn drain(&mut self, _core: &mut SenderCore) -> std::io::Result<()> {
+        Ok(())
+    }
+
+    /// Runs after the BYE went out.
+    fn close(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+
+    /// Fills in the transport's own [`ClientReport`] counters.
+    fn annotate(&self, _report: &mut ClientReport) {}
+}
+
+/// One transmit session over a [`Transport`] — use it as
+/// [`SessionSender`] (TCP) or
+/// [`UdpSessionSender`](crate::udp::UdpSessionSender).
+#[derive(Debug)]
+pub struct Sender<T> {
+    pub(crate) core: SenderCore,
+    pub(crate) transport: T,
+}
+
+impl<T: Transport> Sender<T> {
+    /// Wraps a connected transport and sends the HELLO through it.
+    pub(crate) fn open(
+        transport: T,
+        header: SessionHeader,
+        retry: RetryPolicy,
+        retries: u64,
+    ) -> std::io::Result<Sender<T>> {
+        let mut tx = Sender {
+            core: SenderCore {
+                packetizer: Packetizer::new(header),
+                retry,
+                chaos: None,
+                retries,
+                gave_up: false,
+                obs: None,
+            },
+            transport,
+        };
+        let hello = tx.core.packetizer.hello();
+        tx.transport.write(&mut tx.core, &hello)?;
+        Ok(tx)
+    }
+
+    /// Attaches transmit instrumentation: the sender keeps the
+    /// `datc_tx_*` series synced after the HELLO, every
+    /// [`send_events`](Sender::send_events) batch and the BYE.
+    #[must_use]
+    pub fn with_metrics(mut self, obs: TxObs) -> Self {
+        self.core.obs = Some(obs);
+        self.core.sync_obs();
+        self
+    }
+
+    /// Routes every DATA frame through a deterministic [`ChaosLink`]:
+    /// frames are dropped, duplicated, reordered, damaged, or delayed
+    /// per the link's plan. A disconnect boundary tears a TCP socket
+    /// down mid-session (exercising the retry/resume path); on UDP it
+    /// is just the outage window of drops the link already applied.
+    /// HELLO, BYE and flow-control repairs bypass the link so the
+    /// session books stay decidable.
+    #[must_use]
+    pub fn with_chaos(mut self, link: ChaosLink) -> Self {
+        self.core.chaos = Some(link);
+        self
+    }
+
+    /// The chaos link's counters, when one is attached.
+    pub fn chaos_stats(&self) -> Option<ChaosStats> {
+        self.core.chaos.as_ref().map(ChaosLink::stats)
+    }
+
+    /// The chaos link itself (fate log, replay seed), when attached.
+    pub fn chaos_link(&self) -> Option<&ChaosLink> {
+        self.core.chaos.as_ref()
+    }
+
+    /// Client-side counter snapshot; valid at any point in the
+    /// session, including after a send error (check
+    /// [`ClientReport::gave_up`]).
+    pub fn report(&self) -> ClientReport {
+        let core = &self.core;
+        let mut report = ClientReport {
+            events_sent: core.packetizer.events_sent(),
+            frames_sent: core.packetizer.frames_emitted(),
+            bytes_sent: core.packetizer.bytes_emitted(),
+            datagrams_refused: 0,
+            retries: core.retries,
+            reconnects: 0,
+            repairs: 0,
+            gave_up: core.gave_up,
+        };
+        self.transport.annotate(&mut report);
+        report
+    }
+
+    /// Packetises and writes a run of (tick-ordered) events; over UDP
+    /// each DATA frame is one datagram.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures once the retry budget (if any) is
+    /// spent.
+    pub fn send_events(&mut self, events: &[AddressedEvent]) -> std::io::Result<()> {
+        let first_index = self.core.packetizer.events_sent();
+        let frames = self.core.packetizer.data_frames(events);
+        let mut out: Vec<Vec<u8>> = Vec::new();
+        for frame in &frames {
+            let Some(link) = self.core.chaos.as_mut() else {
+                self.transport.write(&mut self.core, frame)?;
+                continue;
+            };
+            out.clear();
+            link.push(frame, &mut out);
+            if link.take_disconnect() {
+                self.transport.disconnect();
+            }
+            for unit in &out {
+                self.transport.write(&mut self.core, unit)?;
+            }
+        }
+        self.transport.sent(&mut self.core, first_index, &frames)?;
+        self.core.sync_obs();
+        Ok(())
+    }
+
+    /// Flushes any frames the chaos link still holds, runs the
+    /// transport's drain (UDP with flow control: pump feedback and
+    /// repair tail holes until the receiver confirms everything sent or
+    /// the [`FlowConfig::drain`](crate::flow::FlowConfig::drain) budget
+    /// runs out), sends the BYE, closes (TCP: flush and half-close) and
+    /// reports the client-side counters.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write/shutdown failures once the retry budget (if
+    /// any) is spent.
+    pub fn finish(mut self) -> std::io::Result<ClientReport> {
+        let mut tail: Vec<Vec<u8>> = Vec::new();
+        if let Some(link) = self.core.chaos.as_mut() {
+            link.flush(&mut tail);
+        }
+        for unit in &tail {
+            self.transport.write(&mut self.core, unit)?;
+        }
+        self.transport.drain(&mut self.core)?;
+        let bye = self.core.packetizer.bye();
+        self.transport.write(&mut self.core, &bye)?;
+        self.core.sync_obs();
+        self.transport.close()?;
+        Ok(self.report())
+    }
+}
+
 /// One transmit session over one TCP connection.
 ///
 /// # Example
@@ -1109,17 +1332,16 @@ pub struct ClientReport {
 /// let report = tx.finish().unwrap();
 /// assert_eq!(report.events_sent, 0);
 /// ```
+pub type SessionSender = Sender<TcpTransport>;
+
+/// The TCP [`Transport`]: one connection, reconnected with the HELLO
+/// re-sent when a write fails, and FEEDBACK frames read back off its
+/// receive half.
 #[derive(Debug)]
-pub struct SessionSender {
+pub struct TcpTransport {
     socket: TcpStream,
     addrs: Vec<SocketAddr>,
-    packetizer: Packetizer,
-    retry: RetryPolicy,
-    chaos: Option<ChaosLink>,
-    retries: u64,
     reconnects: u64,
-    gave_up: bool,
-    obs: Option<TxObs>,
     /// Partial-frame buffer for FEEDBACK frames read off the duplex
     /// connection (reads are non-blocking, frames can split).
     fb_buf: Vec<u8>,
@@ -1139,6 +1361,61 @@ fn connect_any(addrs: &[SocketAddr]) -> std::io::Result<TcpStream> {
         }
     }
     Err(last)
+}
+
+impl Transport for TcpTransport {
+    /// Writes one frame, retrying with backoff + reconnect under the
+    /// sender's policy. On reconnect the HELLO is re-sent first (same
+    /// header, same DATA-V2 nonce), which is what lets the hub adopt
+    /// the parked session and the decoder book the outage as loss.
+    fn write(&mut self, core: &mut SenderCore, frame: &[u8]) -> std::io::Result<()> {
+        let mut attempt = 0u32;
+        loop {
+            match self.socket.write_all(frame) {
+                Ok(()) => return Ok(()),
+                Err(e) => {
+                    if attempt >= core.retry.max_retries {
+                        core.gave_up = true;
+                        return Err(e);
+                    }
+                    std::thread::sleep(core.retry.delay(attempt));
+                    attempt += 1;
+                    core.retries += 1;
+                    if let Ok(socket) = connect_any(&self.addrs) {
+                        self.socket = socket;
+                        self.reconnects += 1;
+                        let hello = core.packetizer.hello();
+                        // A failed re-HELLO falls through to the next
+                        // attempt (the write above fails again).
+                        let _ = self.socket.write_all(&hello);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Half-closes our side so the next write takes the
+    /// reconnect-and-resume path. Write-only shutdown (not `Both`,
+    /// whose SHUT_RD would make our own reads return EOF immediately)
+    /// lets us then drain the peer's FIN — the hub worker closes its
+    /// end only after parking the session, so once the drain completes
+    /// the park deterministically exists and the reconnect adopts it
+    /// instead of racing the worker.
+    fn disconnect(&mut self) {
+        let _ = self.socket.shutdown(std::net::Shutdown::Write);
+        let _ = self.socket.set_read_timeout(Some(RESUME_HANDOFF));
+        let mut drain = [0u8; 512];
+        while matches!(self.socket.read(&mut drain), Ok(n) if n > 0) {}
+    }
+
+    fn close(&mut self) -> std::io::Result<()> {
+        self.socket.flush()?;
+        self.socket.shutdown(std::net::Shutdown::Write)
+    }
+
+    fn annotate(&self, report: &mut ClientReport) {
+        report.reconnects = self.reconnects;
+    }
 }
 
 impl SessionSender {
@@ -1171,7 +1448,6 @@ impl SessionSender {
     ) -> std::io::Result<SessionSender> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let mut attempt = 0u32;
-        let mut retries = 0u64;
         let socket = loop {
             match connect_any(&addrs) {
                 Ok(s) => break s,
@@ -1181,79 +1457,18 @@ impl SessionSender {
                     }
                     std::thread::sleep(retry.delay(attempt));
                     attempt += 1;
-                    retries += 1;
                 }
             }
         };
-        let mut tx = SessionSender {
+        let transport = TcpTransport {
             socket,
             addrs,
-            packetizer: Packetizer::new(header),
-            retry,
-            chaos: None,
-            retries,
             reconnects: 0,
-            gave_up: false,
-            obs: None,
             fb_buf: Vec::new(),
             last_feedback: None,
             feedback_rx: 0,
         };
-        let hello = tx.packetizer.hello();
-        tx.write_resilient(&hello)?;
-        tx.sync_obs();
-        Ok(tx)
-    }
-
-    /// Attaches transmit instrumentation: the sender keeps the
-    /// `datc_tx_*` series synced after the HELLO, every
-    /// [`send_events`](SessionSender::send_events) batch and the BYE.
-    pub fn with_metrics(mut self, obs: TxObs) -> SessionSender {
-        self.obs = Some(obs);
-        self.sync_obs();
-        self
-    }
-
-    fn sync_obs(&self) {
-        if let Some(obs) = &self.obs {
-            obs.sync(&self.packetizer);
-        }
-    }
-
-    /// Routes every DATA frame through a deterministic [`ChaosLink`]:
-    /// frames are dropped, duplicated, reordered, damaged, or delayed
-    /// per the link's plan, and a disconnect boundary tears the socket
-    /// down mid-session (exercising the retry/resume path). HELLO and
-    /// BYE bypass the link so the session books stay decidable.
-    pub fn with_chaos(mut self, link: ChaosLink) -> SessionSender {
-        self.chaos = Some(link);
-        self
-    }
-
-    /// The chaos link's counters, when one is attached.
-    pub fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|l| l.stats())
-    }
-
-    /// The chaos link itself (fate log, replay seed), when attached.
-    pub fn chaos_link(&self) -> Option<&ChaosLink> {
-        self.chaos.as_ref()
-    }
-
-    /// Client-side counter snapshot; valid at any point in the
-    /// session, including after a send error (check
-    /// [`ClientReport::gave_up`]).
-    pub fn report(&self) -> ClientReport {
-        ClientReport {
-            events_sent: self.packetizer.events_sent(),
-            frames_sent: self.packetizer.frames_emitted(),
-            bytes_sent: self.packetizer.bytes_emitted(),
-            datagrams_refused: 0,
-            retries: self.retries,
-            reconnects: self.reconnects,
-            repairs: 0,
-            gave_up: self.gave_up,
-        }
+        Sender::open(transport, header, retry, u64::from(attempt))
     }
 
     /// Non-blockingly drains any FEEDBACK frames the hub wrote back on
@@ -1269,29 +1484,30 @@ impl SessionSender {
     /// is the one that closes the loop
     /// ([`with_flow`](crate::udp::UdpSessionSender::with_flow)).
     pub fn poll_feedback(&mut self) -> Option<crate::packet::FeedbackSummary> {
-        if self.socket.set_nonblocking(true).is_err() {
+        let tcp = &mut self.transport;
+        if tcp.socket.set_nonblocking(true).is_err() {
             return None;
         }
         let mut buf = [0u8; 4096];
         loop {
-            match self.socket.read(&mut buf) {
+            match tcp.socket.read(&mut buf) {
                 Ok(0) => break,
-                Ok(n) => self.fb_buf.extend_from_slice(&buf[..n]),
+                Ok(n) => tcp.fb_buf.extend_from_slice(&buf[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(_) => break,
             }
         }
-        let _ = self.socket.set_nonblocking(false);
-        let nonce = self.packetizer.header().nonce();
+        let _ = tcp.socket.set_nonblocking(false);
+        let nonce = self.core.packetizer.header().nonce();
         let mut newest = None;
         let mut off = 0usize;
         loop {
-            match parse_frame(&self.fb_buf[off..]) {
+            match parse_frame(&tcp.fb_buf[off..]) {
                 ParseOutcome::Frame { frame, consumed } => {
                     if frame.ftype == FrameType::Feedback {
                         if let Some(fb) = crate::packet::FeedbackSummary::decode(frame.payload) {
                             if fb.nonce == nonce {
-                                self.feedback_rx += 1;
+                                tcp.feedback_rx += 1;
                                 newest = Some(fb);
                             }
                         }
@@ -1302,9 +1518,9 @@ impl SessionSender {
                 ParseOutcome::NeedMore => break,
             }
         }
-        self.fb_buf.drain(..off);
+        tcp.fb_buf.drain(..off);
         if newest.is_some() {
-            self.last_feedback = newest;
+            tcp.last_feedback = newest;
         }
         newest
     }
@@ -1313,107 +1529,12 @@ impl SessionSender {
     /// [`poll_feedback`](SessionSender::poll_feedback) has seen, if
     /// any.
     pub fn last_feedback(&self) -> Option<crate::packet::FeedbackSummary> {
-        self.last_feedback
+        self.transport.last_feedback
     }
 
     /// FEEDBACK frames consumed over the session's lifetime.
     pub fn feedback_rx(&self) -> u64 {
-        self.feedback_rx
-    }
-
-    /// Packetises and writes a run of (tick-ordered) events.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures once the retry budget (if any) is
-    /// spent.
-    pub fn send_events(&mut self, events: &[AddressedEvent]) -> std::io::Result<()> {
-        let frames = self.packetizer.data_frames(events);
-        if self.chaos.is_none() {
-            for frame in &frames {
-                self.write_resilient(frame)?;
-            }
-            self.sync_obs();
-            return Ok(());
-        }
-        let mut out: Vec<Vec<u8>> = Vec::new();
-        for frame in &frames {
-            out.clear();
-            let link = self.chaos.as_mut().expect("checked above");
-            link.push(frame, &mut out);
-            if link.take_disconnect() {
-                // The link says the connection died here: half-close
-                // our side so the next write takes the
-                // reconnect-and-resume path. Write-only shutdown (not
-                // `Both`, whose SHUT_RD would make our own reads
-                // return EOF immediately) lets us then drain the
-                // peer's FIN — the hub worker closes its end only
-                // after parking the session, so once the drain
-                // completes the park deterministically exists and the
-                // reconnect adopts it instead of racing the worker.
-                let _ = self.socket.shutdown(std::net::Shutdown::Write);
-                let _ = self.socket.set_read_timeout(Some(RESUME_HANDOFF));
-                let mut drain = [0u8; 512];
-                while matches!(self.socket.read(&mut drain), Ok(n) if n > 0) {}
-            }
-            for unit in &out {
-                self.write_resilient(unit)?;
-            }
-        }
-        self.sync_obs();
-        Ok(())
-    }
-
-    /// Sends the BYE, flushes and half-closes the socket.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write/shutdown failures once the retry budget (if
-    /// any) is spent.
-    pub fn finish(mut self) -> std::io::Result<ClientReport> {
-        if let Some(link) = self.chaos.as_mut() {
-            let mut out: Vec<Vec<u8>> = Vec::new();
-            link.flush(&mut out);
-            for unit in &out {
-                self.write_resilient(unit)?;
-            }
-        }
-        let bye = self.packetizer.bye();
-        self.write_resilient(&bye)?;
-        self.sync_obs();
-        self.socket.flush()?;
-        self.socket.shutdown(std::net::Shutdown::Write)?;
-        Ok(self.report())
-    }
-
-    /// Writes one frame, retrying with backoff + reconnect under the
-    /// sender's policy. On reconnect the HELLO is re-sent first (same
-    /// header, same DATA-V2 nonce), which is what lets the hub adopt
-    /// the parked session and the decoder book the outage as loss.
-    fn write_resilient(&mut self, frame: &[u8]) -> std::io::Result<()> {
-        let mut attempt = 0u32;
-        loop {
-            match self.socket.write_all(frame) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    if attempt >= self.retry.max_retries {
-                        self.gave_up = true;
-                        return Err(e);
-                    }
-                    std::thread::sleep(self.retry.delay(attempt));
-                    attempt += 1;
-                    self.retries += 1;
-                    if let Ok(socket) = connect_any(&self.addrs) {
-                        self.socket = socket;
-                        self.reconnects += 1;
-                        let hello = self.packetizer.hello();
-                        // A failed re-HELLO falls through to the next
-                        // attempt (the write above fails again).
-                        let _ = self.socket.write_all(&hello);
-                    }
-                }
-            }
-        }
+        self.transport.feedback_rx
     }
 }
 
@@ -1744,6 +1865,44 @@ mod tests {
         assert_eq!(table.len(), 2);
     }
 
+    #[test]
+    fn each_end_reason_bumps_its_own_counter_and_lands_one_session() {
+        // Socket-free: open, feed and retire sessions straight through
+        // the shared lifecycle, once per reason.
+        let table = SessionTable::default();
+        let header = SessionHeader::new(8, 1, 2000.0, 1.0);
+        let wire = crate::packet::encode_session(header, &[]);
+        let reasons = [
+            (EndReason::Closed, (0, 0)),
+            (EndReason::Evicted, (1, 0)),
+            (EndReason::Quarantined, (0, 1)),
+        ];
+        for (i, (reason, (evicted, quarantined))) in reasons.into_iter().enumerate() {
+            let conn_id = table.next_conn_id();
+            let mut session = LiveSession::open(&table, conn_id, &SessionRxConfig::default(), None);
+            assert!(
+                !session.ingest(&wire, Some(0)),
+                "clean bytes stay in budget"
+            );
+            let before = table.health();
+            session.finish(reason, &table);
+            assert_eq!(table.len(), i + 1, "{reason:?} lands exactly one session");
+            let landed = table.snapshot().into_iter().last().expect("just landed");
+            assert_eq!(landed.bytes_received, wire.len() as u64);
+            // health counters are registry-backed: zeros with metrics off
+            if cfg!(feature = "metrics") {
+                let expected = HubHealth {
+                    sessions_finished: before.sessions_finished + 1,
+                    in_flight: before.in_flight - 1,
+                    evicted: before.evicted + evicted,
+                    quarantined: before.quarantined + quarantined,
+                    ..before
+                };
+                assert_eq!(table.health(), expected, "{reason:?}");
+            }
+        }
+    }
+
     /// Polls `cond` every 2 ms for up to ~4 s, panicking with `what` on
     /// timeout — for assertions against the hub's background threads.
     fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
@@ -1829,7 +1988,7 @@ mod tests {
         let mut raw = TcpStream::connect(hub.local_addr()).unwrap();
         raw.write_all(&pk.hello()).unwrap();
         // A flood of CRC-broken frames: flip the last CRC byte.
-        let mut bad = crate::frame::encode_frame(FrameType::Data, 1, &[0u8; 16]);
+        let mut bad = crate::frame::encode_frame(FrameType::DataV2, 1, &[0u8; 16]);
         *bad.last_mut().unwrap() ^= 0xFF;
         for _ in 0..64 {
             // The hub hangs up mid-flood once the budget trips.

@@ -32,7 +32,10 @@
 //! * [`gateway`] — the [`TelemetryHub`]: a TCP
 //!   loopback ingest gateway multiplexing many concurrent sensor
 //!   sessions, fed by [`FleetRunner`](datc_engine::FleetRunner) via
-//!   [`stream_fleet`];
+//!   [`stream_fleet`] — plus what both transports share: one session
+//!   lifecycle for the hubs and one sender core
+//!   ([`Sender`](gateway::Sender) over a [`Transport`](gateway::Transport))
+//!   behind [`SessionSender`] and [`UdpSessionSender`];
 //! * [`udp`] — the same gateway over datagrams
 //!   ([`UdpTelemetryHub`]): one framed packet per datagram, sessions
 //!   keyed by peer address, loss/reorder/duplication handled by the

@@ -37,7 +37,6 @@
 //! | `datc_rx_malformed_frames_total` | counter | `session` | undecodable payloads |
 //! | `datc_rx_orphan_frames_total` | counter | `session` | frames before any HELLO |
 //! | `datc_rx_foreign_frames_total` | counter | `session` | foreign-nonce DATA-V2 frames |
-//! | `datc_rx_legacy_frames_total` | counter | `session` | revision-1 DATA frames |
 //! | `datc_rx_events_decoded_total` | counter | `session` | events delivered in time order |
 //! | `datc_rx_events_lost_total` | counter | `session` | events booked as lost |
 //! | `datc_rx_gaps_total` | counter | `session` | distinct gap episodes |
@@ -119,8 +118,6 @@ names! {
     RX_ORPHAN_FRAMES = "datc_rx_orphan_frames_total";
     /// Per-session counter: foreign-nonce DATA-V2 frames rejected.
     RX_FOREIGN_FRAMES = "datc_rx_foreign_frames_total";
-    /// Per-session counter: revision-1 DATA frames decoded.
-    RX_LEGACY_FRAMES = "datc_rx_legacy_frames_total";
     /// Per-session counter: events delivered in time order.
     RX_EVENTS_DECODED = "datc_rx_events_decoded_total";
     /// Per-session counter: events booked as lost.
@@ -168,7 +165,7 @@ names! {
 
 /// Every name in the per-session receive family — what
 /// [`SessionObs::retire`] removes.
-const RX_SERIES: [&str; 18] = [
+const RX_SERIES: [&str; 17] = [
     RX_FRAMES,
     RX_DUPLICATE_FRAMES,
     RX_CRC_FAILURES,
@@ -176,7 +173,6 @@ const RX_SERIES: [&str; 18] = [
     RX_MALFORMED_FRAMES,
     RX_ORPHAN_FRAMES,
     RX_FOREIGN_FRAMES,
-    RX_LEGACY_FRAMES,
     RX_EVENTS_DECODED,
     RX_EVENTS_LOST,
     RX_GAPS,
@@ -230,7 +226,6 @@ pub struct SessionObs {
     malformed_frames: Counter,
     orphan_frames: Counter,
     foreign_frames: Counter,
-    legacy_frames: Counter,
     events_decoded: Counter,
     events_lost: Counter,
     gaps: Counter,
@@ -259,7 +254,6 @@ impl SessionObs {
             malformed_frames: registry.counter_with(RX_MALFORMED_FRAMES, &l),
             orphan_frames: registry.counter_with(RX_ORPHAN_FRAMES, &l),
             foreign_frames: registry.counter_with(RX_FOREIGN_FRAMES, &l),
-            legacy_frames: registry.counter_with(RX_LEGACY_FRAMES, &l),
             events_decoded: registry.counter_with(RX_EVENTS_DECODED, &l),
             events_lost: registry.counter_with(RX_EVENTS_LOST, &l),
             gaps: registry.counter_with(RX_GAPS, &l),
@@ -303,11 +297,6 @@ impl SessionObs {
         &self.label
     }
 
-    /// `true` when wall-clock push timing was enabled.
-    pub fn wall_clock(&self) -> bool {
-        self.push_ns.is_some()
-    }
-
     pub(crate) fn retire_on_finish_set(&self) -> bool {
         self.retire_on_finish
     }
@@ -322,7 +311,6 @@ impl SessionObs {
         self.malformed_frames.store(c.malformed_frames);
         self.orphan_frames.store(c.orphan_frames);
         self.foreign_frames.store(c.foreign_frames);
-        self.legacy_frames.store(c.legacy_frames);
         self.events_decoded.store(c.events_decoded);
         self.events_lost.store(c.events_lost);
         self.gaps.store(c.gaps);
@@ -489,6 +477,19 @@ impl SessionObs {
         if let Some(h) = &self.push_ns {
             h.observe(ns);
         }
+    }
+
+    /// Starts timing one `push_bytes` call: the wall-clock start when
+    /// wall-clock timing was enabled, else `None` (no clock read). The
+    /// clock reads live here so the session itself stays clock-free.
+    pub(crate) fn push_started(&self) -> Option<std::time::Instant> {
+        self.push_ns.as_ref().map(|_| std::time::Instant::now())
+    }
+
+    /// Observes the call [`push_started`](SessionObs::push_started)
+    /// began at `t0`.
+    pub(crate) fn push_finished(&self, t0: std::time::Instant) {
+        self.observe_push_ns(t0.elapsed().as_nanos() as u64);
     }
 
     /// Feeds the event-rate EWMA: `absorbed` events were released with

@@ -31,9 +31,9 @@
 //! format itself never changes. It pins every DATA frame to its
 //! session: a receiver that sees a stale or foreign frame arrive over a
 //! reused transport address drops it instead of misattributing its
-//! events. [`Packetizer`] emits DATA-V2; decoders accept both
-//! revisions, and revision-1 decoders skip V2 frames whole (CRC-valid
-//! unknown type).
+//! events. DATA-V2 is the only DATA revision: the nonce-less
+//! revision-1 frame type (0x02) is retired, and decoders skip it whole
+//! as an unknown type.
 //!
 //! **BYE** (variable): `total_events:varint`, `n_channels:varint`, then
 //! one sent-count varint per channel — the receiver subtracts its own
@@ -525,7 +525,6 @@ impl FeedbackSummary {
 pub struct Packetizer {
     header: SessionHeader,
     nonce: u8,
-    legacy_data: bool,
     seq: u16,
     next_index: u64,
     last_tick: Option<u64>,
@@ -544,7 +543,6 @@ impl Packetizer {
         Packetizer {
             header,
             nonce: header.nonce(),
-            legacy_data: false,
             seq: 0,
             next_index: 0,
             last_tick: None,
@@ -562,23 +560,6 @@ impl Packetizer {
         // plus ~22 bytes of indices and the V2 nonce byte.
         let cap = (MAX_PAYLOAD - 23) / 13;
         self.max_events_per_frame = n.clamp(1, cap);
-        self
-    }
-
-    /// Emits revision-1 DATA frames (no session nonce) instead of
-    /// DATA-V2 — for interoperating with, and testing against,
-    /// revision-1 receivers.
-    ///
-    /// **Deprecated — scheduled for removal.** Revision-1 frames carry
-    /// no session nonce, so on a reused peer address a reordered
-    /// session-tail datagram can be misattributed to the *next*
-    /// session's books (see the UDP module's
-    /// ["Known limits"](crate::udp#known-limits)). Keep this only
-    /// while revision-1 receivers are still being upgraded; receivers
-    /// count the exposure in
-    /// [`WireStats::legacy_frames`](crate::decode::WireStats::legacy_frames).
-    pub fn with_legacy_data_frames(mut self) -> Self {
-        self.legacy_data = true;
         self
     }
 
@@ -632,16 +613,9 @@ impl Packetizer {
                     }
                 })
                 .collect();
-            let (ftype, payload) = if self.legacy_data {
-                (FrameType::Data, encode_data(self.next_index, &wire_events))
-            } else {
-                (
-                    FrameType::DataV2,
-                    encode_data_v2(self.nonce, self.next_index, &wire_events),
-                )
-            };
+            let payload = encode_data_v2(self.nonce, self.next_index, &wire_events);
             self.next_index += wire_events.len() as u64;
-            frames.push(self.frame(ftype, &payload));
+            frames.push(self.frame(FrameType::DataV2, &payload));
         }
         frames
     }

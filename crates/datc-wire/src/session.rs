@@ -23,6 +23,7 @@ use crate::packet::SessionHeader;
 use crate::sink::{ForceRing, SessionSink};
 use datc_rx::online::{AnyOnlineReconstructor, OnlineReconSelect, OnlineReconstructor};
 use datc_uwb::aer::AddressedEvent;
+use std::time::Instant;
 
 /// Tuning for a receive session.
 ///
@@ -158,7 +159,7 @@ pub struct SessionRx {
     sink_scratch: Vec<AddressedEvent>,
     emit_scratch: Vec<f64>,
     /// When the last FEEDBACK frame went out (cadence limiter).
-    feedback_last: Option<std::time::Instant>,
+    feedback_last: Option<Instant>,
     /// Wrapping sequence counter for outgoing FEEDBACK frames.
     feedback_seq: u16,
     /// Total FEEDBACK frames produced over the session's lifetime.
@@ -263,17 +264,17 @@ impl SessionRx {
         self.decoder.feedback(pressure)
     }
 
-    /// Produces a framed FEEDBACK report when one is due: the config's
-    /// [`feedback_every`](SessionRxConfig::feedback_every) cadence has
-    /// elapsed (the first call after the HELLO is always due) and the
-    /// session knows its nonce. Returns the complete wire frame ready to
-    /// write back to the sender; `None` when feedback is disabled, the
-    /// HELLO has not arrived, or the cadence has not elapsed. The hubs
-    /// call this once per read/datagram — the cadence limiter makes that
-    /// cheap.
-    pub fn feedback_due(&mut self, pressure: u8) -> Option<Vec<u8>> {
+    /// Produces a framed FEEDBACK report when one is due at `now`: the
+    /// config's [`feedback_every`](SessionRxConfig::feedback_every)
+    /// cadence has elapsed since the last report (the first call after
+    /// the HELLO is always due) and the session knows its nonce. Returns
+    /// the complete wire frame ready to write back to the sender; `None`
+    /// when feedback is disabled, the HELLO has not arrived, or the
+    /// cadence has not elapsed. The session never reads a clock itself:
+    /// the hubs pass the time of their current loop pass, once per
+    /// read/datagram — the cadence limiter makes that cheap.
+    pub fn feedback_due(&mut self, pressure: u8, now: Instant) -> Option<Vec<u8>> {
         let every = self.config.feedback_every?;
-        let now = std::time::Instant::now();
         if let Some(last) = self.feedback_last {
             if now.duration_since(last) < every {
                 return None;
@@ -298,10 +299,7 @@ impl SessionRx {
     /// per-channel reconstructors (and the sink, when attached).
     /// Returns events absorbed this call.
     pub fn push_bytes(&mut self, bytes: &[u8]) -> usize {
-        let t0 = match &self.obs {
-            Some(obs) if obs.wall_clock() => Some(std::time::Instant::now()),
-            _ => None,
-        };
+        let t0 = self.obs.as_ref().and_then(SessionObs::push_started);
         self.decoder.push_bytes(bytes);
         if self.recon.is_empty() {
             if let Some(h) = self.decoder.session() {
@@ -326,7 +324,7 @@ impl SessionRx {
         self.emit();
         self.sync_obs(absorbed);
         if let (Some(obs), Some(t0)) = (&self.obs, t0) {
-            obs.observe_push_ns(t0.elapsed().as_nanos() as u64);
+            obs.push_finished(t0);
         }
         self.scratch.clear();
         absorbed
@@ -603,16 +601,19 @@ mod tests {
         let events = test_events(&header, 100);
         let mut tx = Packetizer::new(header).with_events_per_frame(20);
 
+        let t0 = Instant::now();
         let mut rx = SessionRx::new(SessionRxConfig {
             feedback_every: Some(Duration::ZERO),
             ..SessionRxConfig::default()
         });
-        assert!(rx.feedback_due(0).is_none(), "no HELLO, no nonce yet");
+        assert!(rx.feedback_due(0, t0).is_none(), "no HELLO, no nonce yet");
         rx.push_bytes(&tx.hello());
         for f in &tx.data_frames(&events) {
             rx.push_bytes(f);
         }
-        let frame = rx.feedback_due(42).expect("due immediately after HELLO");
+        let frame = rx
+            .feedback_due(42, t0)
+            .expect("due immediately after HELLO");
         let ParseOutcome::Frame { frame, .. } = parse_frame(&frame) else {
             panic!("feedback_due produced an unparseable frame");
         };
@@ -623,22 +624,43 @@ mod tests {
         assert_eq!(fb.events_lost, 0);
         assert_eq!(fb.pressure, 42);
 
-        // a long cadence suppresses the next report…
-        let mut slow = SessionRx::new(SessionRxConfig {
-            feedback_every: Some(Duration::from_secs(3600)),
-            ..SessionRxConfig::default()
-        });
-        slow.push_bytes(&tx.hello());
-        assert!(slow.feedback_due(0).is_some(), "first report is always due");
-        assert!(slow.feedback_due(0).is_none(), "cadence not yet elapsed");
-
-        // …and `None` disables production entirely
+        // `None` disables production entirely (the cadence itself is
+        // pinned by the test below)
         let mut off = SessionRx::new(SessionRxConfig {
             feedback_every: None,
             ..SessionRxConfig::default()
         });
         off.push_bytes(&tx.hello());
-        assert!(off.feedback_due(0).is_none());
+        assert!(off.feedback_due(0, t0).is_none());
+    }
+
+    #[test]
+    fn feedback_cadence_boundary_runs_on_the_passed_in_clock() {
+        use std::time::Duration;
+
+        // No sleep anywhere: the clock is an argument, so the boundary
+        // is pinned to the nanosecond.
+        let every = Duration::from_millis(50);
+        let header = SessionHeader::new(6, 1, 2000.0, 1.0);
+        let mut rx = SessionRx::new(SessionRxConfig {
+            feedback_every: Some(every),
+            ..SessionRxConfig::default()
+        });
+        rx.push_bytes(&Packetizer::new(header).hello());
+        let t0 = Instant::now();
+        assert!(rx.feedback_due(0, t0).is_some(), "due at t0");
+        let just_short = t0 + every - Duration::from_nanos(1);
+        assert!(
+            rx.feedback_due(0, just_short).is_none(),
+            "not due 1 ns early"
+        );
+        assert!(
+            rx.feedback_due(0, t0 + every).is_some(),
+            "due at t0 + every"
+        );
+        // the cadence restarts from the report just produced
+        assert!(rx.feedback_due(0, t0 + every).is_none());
+        assert!(rx.feedback_due(0, t0 + 2 * every).is_some());
     }
 
     #[test]

@@ -55,18 +55,7 @@
 //!   HELLO, [`SessionHeader::nonce`]): when a reused address hands over
 //!   from session A to session B, an A-tail datagram reordered *past*
 //!   B's HELLO is counted as a **foreign frame** and dropped instead of
-//!   being misattributed to B's books. Legacy revision-1 DATA frames
-//!   (no nonce) are still accepted for old transmitters, and for those
-//!   the misattribution corner remains **open**: an A-tail revision-1
-//!   datagram reordered past B's HELLO carries nothing tying it to A,
-//!   so it lands in B's books — the BYE grace window absorbs the
-//!   common tail reorder, everything else parks as a far-future hole
-//!   and is declared lost at close, and in the worst case (matching
-//!   index spans) A's events are silently credited to B. This is why
-//!   [`Packetizer::with_legacy_data_frames`] is deprecated: keep it
-//!   only while old receivers are being upgraded, and watch
-//!   [`WireStats::legacy_frames`](crate::decode::WireStats::legacy_frames)
-//!   to find the senders still exposed. The 8-bit nonce is a
+//!   being misattributed to B's books. The 8-bit nonce is a
 //!   misattribution guard, not an authenticator (1/256 collision odds
 //!   between unrelated sessions).
 //! * A session whose HELLO never arrives is unidentifiable: its DATA
@@ -76,30 +65,32 @@
 //!   takeover therefore only protects sessions whose HELLO was
 //!   decoded.
 
-use crate::chaos::{ChaosLink, ChaosStats};
+use crate::flow::FlowSession;
+use crate::frame::{Frame, FrameType};
 use crate::gateway::{
-    fleet_header, ClientReport, HubConfig, HubHealth, HubSession, RetryPolicy, SessionTable,
-    SinkFactory,
+    fleet_header, ClientReport, EndReason, Hub, HubConfig, LiveSession, RetryPolicy, Sender,
+    SenderCore, SessionTable, SinkFactory, Transport,
 };
-use crate::packet::{Packetizer, SessionHeader};
-use crate::session::SessionRx;
+use crate::packet::SessionHeader;
 use datc_engine::FleetOutput;
-use datc_uwb::aer::AddressedEvent;
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Receive poll interval — also the post-stop drain quantum: after a
 /// stop request the receive loop keeps decoding until one full interval
 /// passes with the socket empty.
 const POLL: Duration = Duration::from_millis(2);
 
+/// Transport marker of [`UdpTelemetryHub`].
+#[derive(Debug)]
+pub enum Udp {}
+
 /// A telemetry ingest gateway bound to a local UDP address.
 ///
-/// Shares [`HubConfig`], [`HubSession`] and (optionally) the
+/// Shares [`HubConfig`], [`HubSession`](crate::gateway::HubSession) and (optionally) the
 /// [`SessionTable`] with the TCP [`TelemetryHub`](crate::gateway::TelemetryHub),
 /// so a deployment can serve both transports into one operator view:
 ///
@@ -117,13 +108,7 @@ const POLL: Duration = Duration::from_millis(2);
 /// let all = tcp.shutdown(); // one table, both transports
 /// assert_eq!(all.len(), table.len());
 /// ```
-#[derive(Debug)]
-pub struct UdpTelemetryHub {
-    addr: SocketAddr,
-    table: Arc<SessionTable>,
-    stop: Arc<AtomicBool>,
-    receiver: Option<JoinHandle<()>>,
-}
+pub type UdpTelemetryHub = Hub<Udp>;
 
 impl UdpTelemetryHub {
     /// Binds a UDP socket (use port 0 for an ephemeral port) and starts
@@ -153,75 +138,9 @@ impl UdpTelemetryHub {
         let socket = UdpSocket::bind(addr)?;
         let addr = socket.local_addr()?;
         socket.set_read_timeout(Some(POLL))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let receiver = {
-            let table = Arc::clone(&table);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || receive_loop(socket, config, table, sink_factory, stop))
-        };
-        Ok(UdpTelemetryHub {
-            addr,
-            table,
-            stop,
-            receiver: Some(receiver),
-        })
-    }
-
-    /// The bound address (the port to point senders at).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The shared session table.
-    pub fn session_table(&self) -> Arc<SessionTable> {
-        Arc::clone(&self.table)
-    }
-
-    /// Number of *finished* sessions in the table (in-flight peers
-    /// appear once their BYE is decoded or the hub shuts down).
-    pub fn session_count(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Clones the current session table.
-    pub fn snapshot(&self) -> Vec<HubSession> {
-        self.table.snapshot()
-    }
-
-    /// A point-in-time [`HubHealth`] snapshot of the shared table's
-    /// operational counters (started/finished/shed/quarantined/…).
-    /// When the table is shared with a TCP hub the counters cover both
-    /// transports.
-    pub fn health(&self) -> HubHealth {
-        self.table.health()
-    }
-
-    /// The shared metrics registry (hub roll-ups plus per-peer series
-    /// for every in-flight session) — render it with
-    /// [`datc_obs::render_prometheus`] or [`datc_obs::render_json`].
-    pub fn registry(&self) -> datc_obs::Registry {
-        self.table.registry().clone()
-    }
-
-    /// Stops receiving, drains every datagram already delivered to the
-    /// socket, finishes every in-flight peer session (each decoded
-    /// event reaches its sink exactly once), and returns the final
-    /// session table.
-    pub fn shutdown(mut self) -> Vec<HubSession> {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.receiver.take() {
-            let _ = h.join();
-        }
-        self.snapshot()
-    }
-}
-
-impl Drop for UdpTelemetryHub {
-    fn drop(&mut self) {
-        if let Some(h) = self.receiver.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = h.join();
-        }
+        Ok(Hub::spawn(addr, table, move |table, stop| {
+            receive_loop(socket, config, table, sink_factory, stop)
+        }))
     }
 }
 
@@ -233,15 +152,28 @@ const RETIRED_TTL: Duration = Duration::from_secs(60);
 
 /// One in-flight peer session.
 struct Peer {
-    conn_id: u64,
-    rx: SessionRx,
-    bytes_received: u64,
+    session: LiveSession,
     /// A received BYE datagram held until its grace deadline, so
     /// session-tail datagrams reordered behind it are still absorbed.
-    pending_bye: Option<(Vec<u8>, std::time::Instant)>,
+    pending_bye: Option<(Vec<u8>, Instant)>,
     /// When this peer last delivered a datagram — the idle-eviction
     /// clock.
-    last_activity: std::time::Instant,
+    last_activity: Instant,
+}
+
+impl Peer {
+    /// Retires the peer's session for `reason`, flushing a held BYE into
+    /// the decoder first (a held BYE is never dropped), and returns the
+    /// session header for the straggler filter.
+    fn retire(mut self, reason: EndReason, table: &SessionTable) -> Option<SessionHeader> {
+        if let Some((bye, _)) = self.pending_bye.take() {
+            // its bytes were counted when the datagram arrived
+            self.session.rx.push_bytes(&bye);
+        }
+        let header = self.session.rx.header().copied();
+        self.session.finish(reason, table);
+        header
+    }
 }
 
 fn receive_loop(
@@ -268,21 +200,23 @@ fn receive_loop(
     // eviction disabled (`idle_timeout: None`) the filter keeps one
     // entry per finished session — the same memory class as the
     // session table itself.
-    let mut retired: HashMap<SocketAddr, (Option<SessionHeader>, std::time::Instant)> =
-        HashMap::new();
+    let mut retired: HashMap<SocketAddr, (Option<SessionHeader>, Instant)> = HashMap::new();
     // One datagram = one frame ≤ HEADER + MAX_PAYLOAD + CRC bytes; a
     // 64 KiB buffer holds any datagram the socket can deliver (an
     // oversized/truncated one fails its CRC and is skipped).
     let mut buf = vec![0u8; 64 * 1024];
-    let mut pending_byes = 0usize;
     // Idle scans are rate-limited to a fraction of the timeout so a
     // quiet hub doesn't walk the peer map on every 2 ms poll.
     let idle_scan_every = config
         .idle_timeout
         .map(|t| (t / 4).clamp(POLL, Duration::from_secs(1)));
-    let mut next_idle_scan = idle_scan_every.map(|d| std::time::Instant::now() + d);
+    let mut next_idle_scan = idle_scan_every.map(|d| Instant::now() + d);
     loop {
-        match socket.recv_from(&mut buf) {
+        let received = socket.recv_from(&mut buf);
+        // One clock read per pass: activity stamps, BYE grace, feedback
+        // cadence and the idle scan below all run on this `now`.
+        let now = Instant::now();
+        match received {
             Ok((n, from)) => {
                 let dgram = &buf[..n];
                 // Cheap frame-type peek (sync word + discriminant
@@ -292,8 +226,8 @@ fn receive_loop(
                 let peeked_type = (n > crate::frame::HEADER_LEN
                     && dgram[..2] == crate::frame::SYNC)
                     .then(|| dgram[2]);
-                let looks_hello = peeked_type == Some(crate::frame::FrameType::Hello.to_byte());
-                let looks_bye = peeked_type == Some(crate::frame::FrameType::Bye.to_byte());
+                let looks_hello = peeked_type == Some(FrameType::Hello.to_byte());
+                let looks_bye = peeked_type == Some(FrameType::Bye.to_byte());
 
                 if let Some((closed_header, _)) = retired.get(&from) {
                     match looks_hello.then(|| hello_header(dgram)).flatten() {
@@ -313,20 +247,16 @@ fn receive_loop(
                 // has no header to compare: the first HELLO to reach
                 // it is adopted by its decoder, indistinguishable from
                 // reordered delivery — see "Known limits".)
-                if looks_hello && peers.get(&from).is_some_and(|p| p.rx.header().is_some()) {
-                    if let Some(h) = hello_header(dgram) {
-                        let old = peers.get(&from).expect("presence just checked");
-                        if old.rx.header() != Some(&h) {
-                            let mut old = peers.remove(&from).expect("presence just checked");
-                            if let Some((bye, _)) = old.pending_bye.take() {
-                                pending_byes -= 1;
-                                old.rx.push_bytes(&bye);
-                            }
-                            // no `retired` entry: the new HELLO takes
-                            // over the address immediately
-                            finish_peer(old, &table);
-                        }
-                    }
+                let takeover = looks_hello
+                    && peers
+                        .get(&from)
+                        .and_then(|p| p.session.rx.header())
+                        .is_some_and(|old| hello_header(dgram).is_some_and(|h| h != *old));
+                if takeover {
+                    // no `retired` entry: the new HELLO takes over the
+                    // address immediately
+                    let old = peers.remove(&from).expect("takeover implies a peer");
+                    old.retire(EndReason::Closed, &table);
                 }
                 // Junk from an unknown address must not allocate
                 // decoder state (a SessionRx plus a factory-built
@@ -335,7 +265,7 @@ fn receive_loop(
                 // reordered behind its first DATA still gets a peer,
                 // and the decoder books the orphans.
                 if !peers.contains_key(&from) {
-                    if !is_valid_frame(dgram) {
+                    if valid_frame(dgram).is_none() {
                         continue;
                     }
                     // Session cap: a valid frame from a *new* address
@@ -351,102 +281,66 @@ fn receive_loop(
                 }
                 let peer = peers.entry(from).or_insert_with(|| {
                     let conn_id = table.next_conn_id();
-                    table.note_started();
-                    let mut rx = SessionRx::new(config.session.clone()).with_metrics(
-                        crate::obs::SessionObs::register(table.registry(), &conn_id.to_string())
-                            .with_retire_on_finish(),
-                    );
-                    if let Some(factory) = &sink_factory {
-                        rx = rx.with_sink(factory(conn_id));
-                    }
+                    let sink = sink_factory.as_ref().map(|f| f(conn_id));
                     Peer {
-                        conn_id,
-                        rx,
-                        bytes_received: 0,
+                        session: LiveSession::open(&table, conn_id, &config.session, sink),
                         pending_bye: None,
-                        last_activity: std::time::Instant::now(),
+                        last_activity: now,
                     }
                 });
-                peer.bytes_received += n as u64;
-                peer.last_activity = std::time::Instant::now();
-                if looks_bye && is_bye_frame(dgram) {
+                peer.last_activity = now;
+                let is_bye =
+                    looks_bye && valid_frame(dgram).is_some_and(|f| f.ftype == FrameType::Bye);
+                let over_budget = if is_bye {
                     // Hold the BYE for the grace window; duplicates of
                     // a held BYE are byte-identical and dropped.
-                    if peer.pending_bye.is_none() {
-                        peer.pending_bye =
-                            Some((dgram.to_vec(), std::time::Instant::now() + config.bye_grace));
-                        pending_byes += 1;
-                    }
+                    peer.session.bytes_received += n as u64;
+                    peer.pending_bye
+                        .get_or_insert_with(|| (dgram.to_vec(), now + config.bye_grace));
+                    false // a held BYE has not reached the decoder
                 } else {
-                    peer.rx.push_bytes(dgram);
-                }
+                    peer.session.ingest(dgram, config.malformed_budget)
+                };
                 // Malformed-frame budget: an address feeding the
                 // decoder garbage past its budget is quarantined —
                 // books closed as they stand, address retired into the
                 // straggler filter so the flood stops burning CRC
                 // scans on a live decoder. A later CRC-valid HELLO
                 // with a fresh header reopens the address as usual.
-                let over_budget = config
-                    .malformed_budget
-                    .is_some_and(|b| peer.rx.framing_garbage() > b);
                 if over_budget {
-                    let mut peer = peers.remove(&from).expect("peer just updated");
-                    if let Some((bye, _)) = peer.pending_bye.take() {
-                        pending_byes -= 1;
-                        peer.rx.push_bytes(&bye);
-                    }
-                    retired.insert(from, (peer.rx.header().copied(), std::time::Instant::now()));
-                    table.note_quarantined();
-                    finish_peer(peer, &table);
+                    let peer = peers.remove(&from).expect("peer just updated");
+                    retired.insert(from, (peer.retire(EndReason::Quarantined, &table), now));
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // A full poll interval with an empty socket *after* the
-                // stop request means the backlog is drained.
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
+            // A full poll interval with an empty socket *after* the
+            // stop request means the backlog is drained.
             Err(_) => {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
             }
         }
-        // Receiver-driven flow control: write a FEEDBACK datagram back
-        // to every peer whose cadence came due, from the hub's own
-        // socket to the session's source address. Best-effort — a
-        // legacy sender that never reads them just leaves a few tiny
-        // datagrams to its kernel buffer. The cadence limiter inside
-        // `feedback_due` keeps this walk cheap on busy hubs.
-        if !peers.is_empty() {
-            let pressure = table.pressure_level(config.max_sessions);
-            for (addr, peer) in peers.iter_mut() {
-                if let Some(fb) = peer.rx.feedback_due(pressure) {
-                    let _ = socket.send_to(&fb, addr);
-                }
+        // One walk over the peers per pass. Receiver-driven flow
+        // control: write a FEEDBACK datagram back to every peer whose
+        // cadence came due, from the hub's own socket to the session's
+        // source address — best effort; a sender that never reads them
+        // just leaves a few tiny datagrams to its kernel buffer. And
+        // BYE grace: list the peers whose held BYE is due.
+        let pressure = table.pressure_level(config.max_sessions);
+        let mut bye_due: Vec<SocketAddr> = Vec::new();
+        for (addr, peer) in peers.iter_mut() {
+            if let Some(fb) = peer.session.rx.feedback_due(pressure, now) {
+                let _ = socket.send_to(&fb, addr);
+            }
+            if peer.pending_bye.as_ref().is_some_and(|&(_, at)| at <= now) {
+                bye_due.push(*addr);
             }
         }
         // Retire peers whose BYE grace expired: close the books and
         // remember the session header for the straggler filter.
-        if pending_byes > 0 {
-            let now = std::time::Instant::now();
-            let due: Vec<SocketAddr> = peers
-                .iter()
-                .filter(|(_, p)| p.pending_bye.as_ref().is_some_and(|&(_, at)| at <= now))
-                .map(|(&addr, _)| addr)
-                .collect();
-            for addr in due {
-                let mut peer = peers.remove(&addr).expect("key just listed");
-                let (bye, _) = peer.pending_bye.take().expect("filtered on pending");
-                pending_byes -= 1;
-                peer.rx.push_bytes(&bye);
-                retired.insert(addr, (peer.rx.header().copied(), now));
-                finish_peer(peer, &table);
-            }
+        for addr in bye_due {
+            let peer = peers.remove(&addr).expect("key just listed");
+            retired.insert(addr, (peer.retire(EndReason::Closed, &table), now));
         }
         // Idle-peer eviction: a peer silent past the timeout (its BYE
         // lost, or the sensor dead) is retired exactly as hub shutdown
@@ -456,7 +350,6 @@ fn receive_loop(
         // filter: a late duplicate cannot resurrect the session, while
         // a fresh HELLO reopens the address.
         if let (Some(timeout), Some(at)) = (config.idle_timeout, next_idle_scan) {
-            let now = std::time::Instant::now();
             if now >= at {
                 next_idle_scan = idle_scan_every.map(|d| now + d);
                 let idle: Vec<SocketAddr> = peers
@@ -465,16 +358,8 @@ fn receive_loop(
                     .map(|(&addr, _)| addr)
                     .collect();
                 for addr in idle {
-                    let mut peer = peers.remove(&addr).expect("key just listed");
-                    if let Some((bye, _)) = peer.pending_bye.take() {
-                        // unreachable in practice (BYE grace ≪ idle
-                        // timeout), but never drop a held BYE
-                        pending_byes -= 1;
-                        peer.rx.push_bytes(&bye);
-                    }
-                    retired.insert(addr, (peer.rx.header().copied(), now));
-                    table.note_evicted();
-                    finish_peer(peer, &table);
+                    let peer = peers.remove(&addr).expect("key just listed");
+                    retired.insert(addr, (peer.retire(EndReason::Evicted, &table), now));
                 }
                 // Prune straggler-filter entries past the horizon so
                 // the filter stays bounded alongside the peer map.
@@ -485,66 +370,26 @@ fn receive_loop(
     }
     // Drain-on-shutdown: flush held BYEs, then finish every in-flight
     // peer — each decoded event reached its sink exactly once.
-    for (_, mut peer) in peers.drain() {
-        if let Some((bye, _)) = peer.pending_bye.take() {
-            peer.rx.push_bytes(&bye);
-        }
-        finish_peer(peer, &table);
+    for (_, peer) in peers.drain() {
+        peer.retire(EndReason::Closed, &table);
     }
 }
 
-/// Parses a datagram as one CRC-valid HELLO frame and returns its
-/// header — the only thing allowed to reopen a retired peer address.
-fn hello_header(datagram: &[u8]) -> Option<SessionHeader> {
+/// The datagram as one CRC-valid frame of any type — the bar for
+/// allocating per-peer decoder state.
+fn valid_frame(datagram: &[u8]) -> Option<Frame<'_>> {
     match crate::frame::parse_frame(datagram) {
-        crate::frame::ParseOutcome::Frame {
-            frame:
-                crate::frame::Frame {
-                    ftype: crate::frame::FrameType::Hello,
-                    payload,
-                    ..
-                },
-            ..
-        } => SessionHeader::decode(payload),
+        crate::frame::ParseOutcome::Frame { frame, .. } => Some(frame),
         _ => None,
     }
 }
 
-/// `true` when the datagram is one CRC-valid BYE frame (held for the
-/// grace window before it closes the books).
-fn is_bye_frame(datagram: &[u8]) -> bool {
-    matches!(
-        crate::frame::parse_frame(datagram),
-        crate::frame::ParseOutcome::Frame {
-            frame: crate::frame::Frame {
-                ftype: crate::frame::FrameType::Bye,
-                ..
-            },
-            ..
-        }
-    )
-}
-
-/// `true` when the datagram parses as one CRC-valid frame of any type —
-/// the bar for allocating per-peer decoder state.
-fn is_valid_frame(datagram: &[u8]) -> bool {
-    matches!(
-        crate::frame::parse_frame(datagram),
-        crate::frame::ParseOutcome::Frame { .. }
-    )
-}
-
-fn finish_peer(peer: Peer, table: &SessionTable) {
-    let report = peer.rx.finish();
-    let session_id = report.header.map_or(0, |h| h.session_id);
-    table.insert(
-        peer.conn_id,
-        HubSession {
-            session_id,
-            bytes_received: peer.bytes_received,
-            report,
-        },
-    );
+/// The header of a datagram that is one CRC-valid HELLO frame — the
+/// only thing allowed to reopen a retired peer address.
+fn hello_header(datagram: &[u8]) -> Option<SessionHeader> {
+    valid_frame(datagram)
+        .filter(|f| f.ftype == FrameType::Hello)
+        .and_then(|f| SessionHeader::decode(f.payload))
 }
 
 /// Transmit pacing for [`UdpSessionSender`]: up to `burst` datagrams go
@@ -623,25 +468,175 @@ impl UdpPacing {
 /// Transient send failures (kernel buffer pressure, spurious
 /// timeouts) are retried with backoff when a [`RetryPolicy`] is
 /// installed via [`with_retry`](UdpSessionSender::with_retry); a
-/// [`ChaosLink`] installed via
-/// [`with_chaos`](UdpSessionSender::with_chaos) subjects every DATA
+/// [`ChaosLink`](crate::chaos::ChaosLink) installed via
+/// [`with_chaos`](Sender::with_chaos) subjects every DATA
 /// datagram to deterministic fault injection before it reaches the
 /// socket (HELLO and BYE bypass chaos so the receiver's books stay
 /// decidable).
+pub type UdpSessionSender = Sender<UdpTransport>;
+
+/// The UDP [`Transport`]: a connected datagram socket, paced per
+/// [`UdpPacing`], counting refused datagrams as transport loss, with
+/// optional receiver-driven flow control and loss repair.
 #[derive(Debug)]
-pub struct UdpSessionSender {
+pub struct UdpTransport {
     socket: UdpSocket,
-    packetizer: Packetizer,
     pacing: UdpPacing,
     sent_since_pause: u32,
     refused: u64,
-    retry: RetryPolicy,
-    chaos: Option<ChaosLink>,
-    retries: u64,
-    gave_up: bool,
-    obs: Option<crate::obs::TxObs>,
-    flow: Option<crate::flow::FlowSession>,
+    flow: Option<FlowSession>,
     flow_obs: Option<crate::obs::FlowObs>,
+}
+
+impl Transport for UdpTransport {
+    fn write(&mut self, core: &mut SenderCore, frame: &[u8]) -> std::io::Result<()> {
+        // A connected UDP socket surfaces the peer's ICMP port
+        // unreachable as ConnectionRefused on a *later* send. For a
+        // loss-tolerant AER sender that is transport loss (receiver
+        // gone or restarting — exactly what the wire format's exact
+        // loss accounting absorbs), not a session-fatal error: count it
+        // and keep going. Real failures (socket shut down locally, no
+        // route) still propagate.
+        let mut attempt: u32 = 0;
+        loop {
+            match self.socket.send(frame) {
+                Ok(_) => break,
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
+                    self.refused += 1;
+                    break;
+                }
+                // Transient local pressure (send buffer full, spurious
+                // timeout, EINTR): back off per the retry policy. A
+                // sender without one fails fast, as before.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock
+                            | std::io::ErrorKind::TimedOut
+                            | std::io::ErrorKind::Interrupted
+                    ) && attempt < core.retry.max_retries =>
+                {
+                    std::thread::sleep(core.retry.delay(attempt));
+                    attempt += 1;
+                    core.retries += 1;
+                }
+                Err(e) => {
+                    core.gave_up = true;
+                    return Err(e);
+                }
+            }
+        }
+        self.sent_since_pause += 1;
+        if self.sent_since_pause >= self.pacing.burst {
+            self.sent_since_pause = 0;
+            if !self.pacing.inter_burst.is_zero() {
+                std::thread::sleep(self.pacing.inter_burst);
+            }
+        }
+        Ok(())
+    }
+
+    /// Records each frame's event span into the replay window (the
+    /// frames are the pristine originals, whatever the chaos link did
+    /// to the copies it sent), then pumps feedback.
+    fn sent(
+        &mut self,
+        core: &mut SenderCore,
+        first_index: u64,
+        frames: &[Vec<u8>],
+    ) -> std::io::Result<()> {
+        if let Some(flow) = self.flow.as_mut() {
+            let per_frame = core.packetizer.events_per_frame() as u64;
+            let end = core.packetizer.events_sent();
+            let mut index = first_index;
+            for frame in frames {
+                let n = per_frame.min(end - index);
+                flow.record_sent(index, n, frame);
+                index += n;
+            }
+        }
+        self.pump_feedback(core, false)
+    }
+
+    /// Tail drain: the last DATA frames have nothing behind them to
+    /// park, so only drain-mode feedback comparison against
+    /// `events_sent` can confirm (or repair) them before the BYE closes
+    /// the books.
+    fn drain(&mut self, core: &mut SenderCore) -> std::io::Result<()> {
+        let Some(budget) = self.flow.as_ref().map(|f| f.config().drain) else {
+            return Ok(());
+        };
+        let deadline = Instant::now() + budget;
+        loop {
+            self.pump_feedback(core, true)?;
+            let confirmed = self
+                .flow
+                .as_ref()
+                .and_then(FlowSession::last_feedback)
+                .is_some_and(|fb| fb.next_index >= core.packetizer.events_sent());
+            if confirmed || Instant::now() >= deadline {
+                return Ok(());
+            }
+            std::thread::sleep(POLL);
+        }
+    }
+
+    fn annotate(&self, report: &mut ClientReport) {
+        report.datagrams_refused = self.refused;
+        report.repairs = self.flow.as_ref().map_or(0, FlowSession::repairs_frames);
+    }
+}
+
+impl UdpTransport {
+    /// Drains any FEEDBACK datagrams the hub has written back and — when
+    /// flow control is installed — applies each report: one AIMD pacing
+    /// step plus any replay-window repairs. Repairs go straight to the
+    /// socket (never through the chaos link). Without flow control the
+    /// datagrams are read and dropped, keeping the socket buffer clean.
+    fn pump_feedback(&mut self, core: &mut SenderCore, drain: bool) -> std::io::Result<()> {
+        if self.socket.set_nonblocking(true).is_err() {
+            return Ok(());
+        }
+        let mut repairs: Vec<Vec<u8>> = Vec::new();
+        let mut buf = [0u8; 256];
+        // WouldBlock = drained; any other error (e.g. a refused ICMP
+        // surfacing on the read side) also ends the pump — feedback is
+        // advisory, never session-fatal.
+        while let Ok(n) = self.socket.recv(&mut buf) {
+            let Some(flow) = self.flow.as_mut() else {
+                continue;
+            };
+            if let Some(frame) = valid_frame(&buf[..n]) {
+                if frame.ftype == FrameType::Feedback {
+                    if let Some(fb) = crate::packet::FeedbackSummary::decode(frame.payload) {
+                        let decision = flow.on_feedback(
+                            fb,
+                            core.packetizer.header().nonce(),
+                            core.packetizer.events_sent(),
+                            drain,
+                        );
+                        self.pacing = UdpPacing {
+                            burst: decision.pacing.burst.max(1),
+                            ..decision.pacing
+                        };
+                        repairs.extend(decision.repairs);
+                    }
+                }
+            }
+        }
+        let _ = self.socket.set_nonblocking(false);
+        for frame in &repairs {
+            self.write(core, frame)?;
+        }
+        self.sync_flow_obs();
+        Ok(())
+    }
+
+    fn sync_flow_obs(&self) {
+        if let (Some(obs), Some(flow)) = (&self.flow_obs, &self.flow) {
+            obs.sync(flow);
+        }
+    }
 }
 
 impl UdpSessionSender {
@@ -684,44 +679,18 @@ impl UdpSessionSender {
         };
         let socket = UdpSocket::bind(bind_addr)?;
         socket.connect(target)?;
-        let mut tx = UdpSessionSender {
+        let transport = UdpTransport {
             socket,
-            packetizer: Packetizer::new(header),
             pacing: UdpPacing {
                 burst: pacing.burst.max(1),
                 ..pacing
             },
             sent_since_pause: 0,
             refused: 0,
-            retry: RetryPolicy::none(),
-            chaos: None,
-            retries: 0,
-            gave_up: false,
-            obs: None,
             flow: None,
             flow_obs: None,
         };
-        let hello = tx.packetizer.hello();
-        tx.send_datagram(&hello)?;
-        tx.sync_obs();
-        Ok(tx)
-    }
-
-    /// Attaches transmit instrumentation: the sender keeps the
-    /// `datc_tx_*` series synced after the HELLO, every
-    /// [`send_events`](UdpSessionSender::send_events) batch and the
-    /// BYE.
-    #[must_use]
-    pub fn with_metrics(mut self, obs: crate::obs::TxObs) -> UdpSessionSender {
-        self.obs = Some(obs);
-        self.sync_obs();
-        self
-    }
-
-    fn sync_obs(&self) {
-        if let Some(obs) = &self.obs {
-            obs.sync(&self.packetizer);
-        }
+        Sender::open(transport, header, RetryPolicy::none(), 0)
     }
 
     /// Installs a retry policy for transient send failures
@@ -731,19 +700,7 @@ impl UdpSessionSender {
     /// with [`ClientReport::gave_up`] set.
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> UdpSessionSender {
-        self.retry = retry;
-        self
-    }
-
-    /// Installs a deterministic fault-injection link applied to every
-    /// DATA datagram (drop/duplicate/reorder/corrupt/truncate/stall
-    /// per the link's [`ChaosProfile`](crate::chaos::ChaosProfile)).
-    /// HELLO and BYE bypass chaos. A disconnect boundary on a
-    /// datagram transport is just its outage window of drops — there
-    /// is no connection to tear down.
-    #[must_use]
-    pub fn with_chaos(mut self, link: ChaosLink) -> UdpSessionSender {
-        self.chaos = Some(link);
+        self.core.retry = retry;
         self
     }
 
@@ -756,7 +713,8 @@ impl UdpSessionSender {
     /// [`ReplayBuffer`](crate::flow::ReplayBuffer). Repairs are
     /// byte-identical originals — the receiver's duplicate/overlap
     /// dedup keeps the books exact — and bypass any installed
-    /// [`ChaosLink`], so a pinned fate schedule stays pinned.
+    /// [`ChaosLink`](crate::chaos::ChaosLink), so a pinned fate
+    /// schedule stays pinned.
     ///
     /// The installed config's AIMD band replaces the connect-time
     /// [`UdpPacing`] from the first feedback onward (pacing starts at
@@ -768,9 +726,9 @@ impl UdpSessionSender {
     /// [`FlowConfig::validate`](crate::flow::FlowConfig::validate)).
     #[must_use]
     pub fn with_flow(mut self, config: crate::flow::FlowConfig) -> UdpSessionSender {
-        let flow = crate::flow::FlowSession::new(config);
-        self.pacing = flow.aimd().pacing();
-        self.flow = Some(flow);
+        let flow = FlowSession::new(config);
+        self.transport.pacing = flow.aimd().pacing();
+        self.transport.flow = Some(flow);
         self
     }
 
@@ -779,243 +737,27 @@ impl UdpSessionSender {
     /// until [`with_flow`](UdpSessionSender::with_flow) is installed.
     #[must_use]
     pub fn with_flow_metrics(mut self, obs: crate::obs::FlowObs) -> UdpSessionSender {
-        self.flow_obs = Some(obs);
-        self.sync_flow_obs();
+        self.transport.flow_obs = Some(obs);
+        self.transport.sync_flow_obs();
         self
-    }
-
-    fn sync_flow_obs(&self) {
-        if let (Some(obs), Some(flow)) = (&self.flow_obs, &self.flow) {
-            obs.sync(flow);
-        }
     }
 
     /// The flow-control state, when installed via
     /// [`with_flow`](UdpSessionSender::with_flow) — rate, raise and
     /// throttle tallies, repair counts, last accepted feedback.
-    pub fn flow(&self) -> Option<&crate::flow::FlowSession> {
-        self.flow.as_ref()
-    }
-
-    /// The chaos link's running statistics, when one is installed.
-    pub fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|link| link.stats())
-    }
-
-    /// The installed chaos link, when any (its fate log drives exact
-    /// loss assertions in tests).
-    pub fn chaos_link(&self) -> Option<&ChaosLink> {
-        self.chaos.as_ref()
-    }
-
-    /// A snapshot of the client-side counters, valid at any point in
-    /// the session — including after a send error, when
-    /// [`finish`](UdpSessionSender::finish) is no longer reachable.
-    pub fn report(&self) -> ClientReport {
-        ClientReport {
-            events_sent: self.packetizer.events_sent(),
-            frames_sent: self.packetizer.frames_emitted(),
-            bytes_sent: self.packetizer.bytes_emitted(),
-            datagrams_refused: self.refused,
-            retries: self.retries,
-            reconnects: 0,
-            repairs: self.flow.as_ref().map_or(0, |f| f.repairs_frames()),
-            gave_up: self.gave_up,
-        }
+    pub fn flow(&self) -> Option<&FlowSession> {
+        self.transport.flow.as_ref()
     }
 
     /// The active pacing.
     pub fn pacing(&self) -> UdpPacing {
-        self.pacing
-    }
-
-    /// Packetises a run of (tick-ordered) events, one DATA frame per
-    /// datagram.
-    ///
-    /// # Errors
-    ///
-    /// Propagates send failures.
-    pub fn send_events(&mut self, events: &[AddressedEvent]) -> std::io::Result<()> {
-        let first_index = self.packetizer.events_sent();
-        let frames = self.packetizer.data_frames(events);
-        if let Some(flow) = self.flow.as_mut() {
-            // Record each frame's event span into the replay window
-            // BEFORE any chaos mangling: repairs resend the pristine
-            // original, whatever the link did to the first copy.
-            let per_frame = self.packetizer.events_per_frame() as u64;
-            let mut index = first_index;
-            for frame in &frames {
-                let n = per_frame.min(events.len() as u64 - (index - first_index));
-                flow.record_sent(index, n, frame);
-                index += n;
-            }
-        }
-        if self.chaos.is_none() {
-            for frame in &frames {
-                self.send_datagram(frame)?;
-            }
-        } else {
-            let mut out: Vec<Vec<u8>> = Vec::new();
-            for frame in &frames {
-                out.clear();
-                let link = self.chaos.as_mut().expect("chaos presence checked above");
-                link.push(frame, &mut out);
-                // No connection to tear down on a datagram transport: a
-                // disconnect boundary is fully expressed by the outage
-                // window of drops the link already applied.
-                let _ = link.take_disconnect();
-                for unit in &out {
-                    self.send_datagram(unit)?;
-                }
-            }
-        }
-        self.pump_feedback(false)?;
-        self.sync_obs();
-        Ok(())
-    }
-
-    /// Drains any FEEDBACK datagrams the hub has written back and — when
-    /// flow control is installed — applies each report: one AIMD pacing
-    /// step plus any replay-window repairs. Repairs go straight to the
-    /// socket (never through the chaos link). Without flow control the
-    /// datagrams are read and dropped, keeping the socket buffer clean.
-    fn pump_feedback(&mut self, drain: bool) -> std::io::Result<()> {
-        if self.socket.set_nonblocking(true).is_err() {
-            return Ok(());
-        }
-        let mut repairs: Vec<Vec<u8>> = Vec::new();
-        let mut buf = [0u8; 256];
-        // WouldBlock = drained; any other error (e.g. a refused ICMP
-        // surfacing on the read side) also ends the pump — feedback is
-        // advisory, never session-fatal.
-        while let Ok(n) = self.socket.recv(&mut buf) {
-            let Some(flow) = self.flow.as_mut() else {
-                continue;
-            };
-            if let crate::frame::ParseOutcome::Frame { frame, .. } =
-                crate::frame::parse_frame(&buf[..n])
-            {
-                if frame.ftype == crate::frame::FrameType::Feedback {
-                    if let Some(fb) = crate::packet::FeedbackSummary::decode(frame.payload) {
-                        let decision = flow.on_feedback(
-                            fb,
-                            self.packetizer.header().nonce(),
-                            self.packetizer.events_sent(),
-                            drain,
-                        );
-                        self.pacing = UdpPacing {
-                            burst: decision.pacing.burst.max(1),
-                            ..decision.pacing
-                        };
-                        repairs.extend(decision.repairs);
-                    }
-                }
-            }
-        }
-        let _ = self.socket.set_nonblocking(false);
-        for frame in &repairs {
-            self.send_datagram(frame)?;
-        }
-        self.sync_flow_obs();
-        Ok(())
-    }
-
-    /// Flushes any datagrams the chaos link still holds, runs the
-    /// flow-control drain when one is installed (pumping feedback and
-    /// repairing tail holes until the receiver confirms everything sent
-    /// or the [`FlowConfig::drain`](crate::flow::FlowConfig::drain)
-    /// budget runs out), sends the BYE datagram and reports the
-    /// client-side counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates send failures.
-    pub fn finish(mut self) -> std::io::Result<ClientReport> {
-        if let Some(link) = self.chaos.as_mut() {
-            let mut tail: Vec<Vec<u8>> = Vec::new();
-            link.flush(&mut tail);
-            for unit in &tail {
-                self.send_datagram(unit)?;
-            }
-        }
-        if self.flow.is_some() {
-            // Tail drain: the last DATA frames have nothing behind them
-            // to park, so only drain-mode feedback comparison against
-            // `events_sent` can confirm (or repair) them before the BYE
-            // closes the books.
-            let budget = self.flow.as_ref().expect("presence checked").config().drain;
-            let deadline = std::time::Instant::now() + budget;
-            loop {
-                self.pump_feedback(true)?;
-                let confirmed = self
-                    .flow
-                    .as_ref()
-                    .expect("presence checked")
-                    .last_feedback()
-                    .is_some_and(|fb| fb.next_index >= self.packetizer.events_sent());
-                if confirmed || std::time::Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(POLL);
-            }
-        }
-        let bye = self.packetizer.bye();
-        self.send_datagram(&bye)?;
-        self.sync_obs();
-        Ok(self.report())
+        self.transport.pacing
     }
 
     /// Datagrams the peer refused so far (see
     /// [`ClientReport::datagrams_refused`]).
     pub fn datagrams_refused(&self) -> u64 {
-        self.refused
-    }
-
-    fn send_datagram(&mut self, frame: &[u8]) -> std::io::Result<()> {
-        // A connected UDP socket surfaces the peer's ICMP port
-        // unreachable as ConnectionRefused on a *later* send. For a
-        // loss-tolerant AER sender that is transport loss (receiver
-        // gone or restarting — exactly what the wire format's exact
-        // loss accounting absorbs), not a session-fatal error: count it
-        // and keep going. Real failures (socket shut down locally, no
-        // route) still propagate.
-        let mut attempt: u32 = 0;
-        loop {
-            match self.socket.send(frame) {
-                Ok(_) => break,
-                Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
-                    self.refused += 1;
-                    break;
-                }
-                // Transient local pressure (send buffer full, spurious
-                // timeout, EINTR): back off per the retry policy. A
-                // sender without one fails fast, as before.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) && attempt < self.retry.max_retries =>
-                {
-                    std::thread::sleep(self.retry.delay(attempt));
-                    attempt += 1;
-                    self.retries += 1;
-                }
-                Err(e) => {
-                    self.gave_up = true;
-                    return Err(e);
-                }
-            }
-        }
-        self.sent_since_pause += 1;
-        if self.sent_since_pause >= self.pacing.burst {
-            self.sent_since_pause = 0;
-            if !self.pacing.inter_burst.is_zero() {
-                std::thread::sleep(self.pacing.inter_burst);
-            }
-        }
-        Ok(())
+        self.transport.refused
     }
 }
 
@@ -1045,7 +787,9 @@ pub fn udp_stream_fleet<A: ToSocketAddrs>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Packetizer;
     use datc_core::Event;
+    use datc_uwb::aer::AddressedEvent;
 
     fn test_events(header: &SessionHeader, n: u64) -> Vec<AddressedEvent> {
         (0..n)
@@ -1798,7 +1542,7 @@ mod tests {
         socket.send(&packetizer.hello()).unwrap();
         // CRC-broken frames from a peer that already holds decoder
         // state: each one burns budget until the peer is quarantined.
-        let mut bad = crate::frame::encode_frame(crate::frame::FrameType::Data, 1, &[0u8; 16]);
+        let mut bad = crate::frame::encode_frame(crate::frame::FrameType::DataV2, 1, &[0u8; 16]);
         *bad.last_mut().unwrap() ^= 0xFF;
         for _ in 0..64 {
             socket.send(&bad).unwrap();
