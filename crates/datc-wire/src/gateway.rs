@@ -1,37 +1,52 @@
 //! The multi-session telemetry gateway: a TCP loopback ingest point
-//! multiplexing many concurrent sensor sessions.
+//! multiplexing many concurrent sensor sessions, and what both hubs
+//! share.
 //!
-//! Architecture: one acceptor thread owns the listener; every accepted
-//! connection gets a worker thread running a [`SessionRx`] pipeline
-//! (decode → demux → online reconstruct) over the socket's byte stream;
-//! finished sessions land in a shared [`SessionTable`] the owner
-//! inspects with [`TelemetryHub::snapshot`]. The same table (and the
-//! same conn-id space) can be shared with a
+//! Architecture: one acceptor thread owns the listener and gives each
+//! connection a blocking reader thread; all of them drive the hub's one
+//! socket-free session core behind a lock. Readers feed it their reads,
+//! each running through its session's
+//! [`SessionRx`](crate::session::SessionRx) pipeline (decode → demux →
+//! online reconstruct); the acceptor ticks it every poll quantum and
+//! writes the FEEDBACK it answers with. Finished sessions land in a
+//! shared [`SessionTable`] the owner inspects with
+//! [`TelemetryHub::snapshot`]. The same table (and the same conn-id
+//! space) can be shared with a
 //! [`UdpTelemetryHub`](crate::udp::UdpTelemetryHub), so one operator
 //! view covers both transports. The transmit side is [`SessionSender`]
 //! (one session per connection) plus the [`stream_fleet`] convenience
 //! that pushes a whole [`FleetOutput`] through one session.
 //!
-//! ## Degrading gracefully
+//! ## Session lifecycle
 //!
-//! The hub assumes a hostile fleet: workers carry a per-connection
-//! read timeout so a stalled socket retires through the same drain
-//! path as an idle UDP peer ([`HubConfig::idle_timeout`]), a global
-//! session cap sheds-and-counts excess connections
-//! ([`HubConfig::max_sessions`]), and a per-session framing-garbage
-//! budget quarantines floods ([`HubConfig::malformed_budget`]) — all
-//! surfaced in the [`HubHealth`] snapshot both hubs share. Senders
-//! carry a [`RetryPolicy`] (capped exponential backoff, decorrelated
-//! jitter); a TCP sender that reconnects mid-session re-sends its
-//! HELLO and the hub **resumes** the parked session
-//! ([`HubConfig::resume_window`]): the decoder keeps its cumulative
-//! event index, so the outage is booked as exactly-counted loss
-//! rather than a new session. All of it is exercised deterministically
-//! by [`chaos`] links via [`SessionSender::with_chaos`].
+//! Both hubs run one lifecycle, written once without socket code and
+//! tested on a simulated clock. It assumes a hostile fleet:
+//!
+//! * a session opens on its peer's first CRC-valid frame (junk before it
+//!   allocates nothing); at the [`HubConfig::max_sessions`] cap a new
+//!   connection or peer is shed and counted;
+//! * a datagram or read opening with a HELLO with another header is the
+//!   sensor's next session, which takes the peer over;
+//! * a lone BYE frame is held for [`HubConfig::bye_grace`], so frames
+//!   reordered behind it still count;
+//! * a peer silent for [`HubConfig::idle_timeout`] is evicted and one
+//!   over the [`HubConfig::malformed_budget`] quarantined: a connection
+//!   is closed, an address drops stragglers until a HELLO with another
+//!   header reopens it;
+//! * a connection dropped mid-session (no BYE) parks its session for
+//!   [`HubConfig::resume_window`]: a sender that reconnects and re-sends
+//!   its HELLO **resumes** it, the decoder keeps its cumulative event
+//!   index, so the outage is booked as exactly-counted loss;
+//! * shutdown finishes every session in flight.
+//!
+//! All of it is surfaced in the [`HubHealth`] snapshot both hubs share.
+//! Senders carry a [`RetryPolicy`] (capped exponential backoff,
+//! decorrelated jitter), and [`chaos`] links
+//! ([`SessionSender::with_chaos`]) exercise it deterministically.
 //!
 //! ## Memory model
 //!
-//! Workers run in `O(channels · force_window)` memory per session: the
+//! Sessions run in `O(channels · force_window)` memory each: the
 //! per-session report keeps only a bounded force tail
 //! ([`DEFAULT_HUB_FORCE_WINDOW`] samples per channel by default), and
 //! consumers that need every sample attach a
@@ -51,9 +66,10 @@
 use crate::chaos::{self, ChaosLink, ChaosStats};
 use crate::decode::WireStats;
 use crate::frame::{parse_frame, FrameType, ParseOutcome};
-use crate::obs::{self, SessionObs, TxObs};
+use crate::hub::{Action, HubCore};
+use crate::obs::{self, TxObs};
 use crate::packet::{Packetizer, SessionHeader};
-use crate::session::{SessionReport, SessionRx, SessionRxConfig};
+use crate::session::{SessionReport, SessionRxConfig};
 use crate::sink::SessionSink;
 use datc_engine::FleetOutput;
 use datc_obs::{Counter, Gauge, Registry};
@@ -72,7 +88,7 @@ use std::time::{Duration, Instant};
 /// long-running sessions. Attach a sink for the full stream.
 pub const DEFAULT_HUB_FORCE_WINDOW: usize = 2048;
 
-/// How long a UDP peer may stay silent before the hub retires it
+/// How long a peer may stay silent before the hub evicts it
 /// (see [`HubConfig::idle_timeout`]).
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -82,33 +98,21 @@ pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// more per datagram/read.
 pub const DEFAULT_MALFORMED_BUDGET: u64 = 1024;
 
-/// How long the TCP hub keeps a disconnected-but-unclosed session
-/// parked waiting for the sender to reconnect and resume it
+/// How long a disconnected-but-unclosed session stays parked waiting for
+/// the sender to reconnect and resume it
 /// (see [`HubConfig::resume_window`]).
 pub const DEFAULT_RESUME_WINDOW: Duration = Duration::from_secs(5);
 
-/// How long the UDP hub keeps serving a peer after its BYE before
-/// retiring it, absorbing straggling reordered tail datagrams
-/// (see [`HubConfig::bye_grace`]).
+/// How long a hub keeps serving a session after its BYE before retiring
+/// it, absorbing reordered tail frames (see [`HubConfig::bye_grace`]).
 pub const DEFAULT_BYE_GRACE: Duration = Duration::from_millis(10);
 
-/// Best-effort write timeout for FEEDBACK frames the TCP hub sends
-/// back on the duplex connection: a sender that never drains its
-/// receive half cannot block a worker thread for longer than this.
-const FEEDBACK_WRITE_TIMEOUT: Duration = Duration::from_millis(50);
-
-/// How long a freshly accepted connection announcing an in-flight
-/// session identity waits for the previous worker to notice its dead
-/// socket and park the session (reconnects race the old worker's EOF).
-const RESUME_HANDOFF: Duration = Duration::from_secs(2);
-
-/// Longest preamble the TCP worker buffers while waiting for the first
-/// frame to complete (a HELLO is ~40 bytes; anything bigger is not a
-/// resume candidate).
-const PREFRAME_CAP: usize = 8192;
-
-/// How often the acceptor sweeps expired parked sessions.
-const SWEEP_EVERY: Duration = Duration::from_millis(50);
+/// Poll quantum of both hub shells: the TCP acceptor's accept poll and
+/// back-off after a failed accept, the UDP receive timeout (also its
+/// post-stop drain quantum: the receive loop keeps decoding until one
+/// full quantum passes with the socket empty) and the bound on a
+/// FEEDBACK write.
+pub(crate) const POLL: Duration = Duration::from_millis(2);
 
 /// Gateway tuning.
 ///
@@ -130,47 +134,44 @@ const SWEEP_EVERY: Duration = Duration::from_millis(50);
 pub struct HubConfig {
     /// Per-session receive pipeline settings.
     pub session: SessionRxConfig,
-    /// A peer that has sent nothing for this long is retired as if the
-    /// hub were shutting down — its decoded events are delivered and
-    /// its session lands in the table with the books left open (no
-    /// BYE). On UDP it bounds the in-flight peer table when a sensor
-    /// dies or its BYE is lost; on TCP it is the per-connection read
-    /// timeout, so a stalled (slowloris) socket retires through the
-    /// same drain path instead of pinning its worker thread forever.
-    /// `None` disables eviction: a silent peer stays in flight until
-    /// hub shutdown. Default: [`DEFAULT_IDLE_TIMEOUT`].
+    /// A peer that has sent nothing for this long is evicted: its
+    /// decoded events are delivered, its session lands in the table with
+    /// the books left open (no BYE) and a connection is closed. This
+    /// bounds the in-flight table when a sensor dies or its BYE is lost,
+    /// and retires stalled (slowloris) connections, including ones that
+    /// never sent a frame. `None` disables eviction: a silent peer stays
+    /// in flight until hub shutdown. Default: [`DEFAULT_IDLE_TIMEOUT`].
     pub idle_timeout: Option<Duration>,
-    /// Global cap on concurrently *in-flight* sessions. At the cap the
-    /// TCP hub accepts-and-drops new connections and the UDP hub
-    /// ignores datagrams from unknown peers; both count the overflow
-    /// in [`HubHealth::shed`] instead of growing without bound.
+    /// Global cap on concurrently *in-flight* sessions (parked ones and
+    /// connections awaiting their first frame included). At the cap a
+    /// new connection or peer is shed — closed or ignored, and counted
+    /// in [`HubHealth::shed`] — instead of growing without bound.
     /// `Some(0)` sheds everything (drain mode). `None` (the default)
     /// accepts unboundedly.
     pub max_sessions: Option<usize>,
     /// Per-session framing-garbage budget: when a session's
     /// [`framing garbage score`](crate::decode::StreamDecoder::framing_garbage)
     /// (CRC failures + malformed frames + resync volume) exceeds this,
-    /// the hub quarantines it — the connection is closed (TCP) or the
-    /// peer is retired into the straggler filter (UDP), the partial
-    /// session lands in the table, and [`HubHealth::quarantined`] is
-    /// bumped. Protects decoder throughput from framing-garbage
-    /// floods. `None` disables the budget.
+    /// the hub quarantines it — the partial session lands in the table,
+    /// the connection is closed or the address drops stragglers, and
+    /// [`HubHealth::quarantined`] is bumped. Protects decoder throughput
+    /// from framing-garbage floods. `None` disables the budget.
     /// Default: [`DEFAULT_MALFORMED_BUDGET`].
     pub malformed_budget: Option<u64>,
-    /// TCP hubs only: how long a connection that dropped *without* a
-    /// BYE stays parked awaiting a sender reconnect. A reconnect whose
-    /// first frame is a HELLO with the same session identity
-    /// (`session_id` + DATA-V2 nonce) adopts the parked decoder, so
-    /// the outage is booked as exactly-counted loss instead of a
-    /// second session. Expired parks retire through the normal drain
-    /// path. `None` disables resume. Default: [`DEFAULT_RESUME_WINDOW`].
+    /// How long a session whose connection dropped *without* a BYE stays
+    /// parked awaiting a sender reconnect. A reconnect whose first frame
+    /// is a HELLO with the same session identity (`session_id` +
+    /// DATA-V2 nonce) adopts the parked decoder, so the outage is booked
+    /// as exactly-counted loss instead of a second session. Expired
+    /// parks are evicted. Only connections park: a UDP address has no
+    /// close. `None` disables resume. Default: [`DEFAULT_RESUME_WINDOW`].
     pub resume_window: Option<Duration>,
-    /// UDP hubs only: how long a peer keeps being served after its BYE
-    /// decodes before the hub retires it. Datagrams reordered past the
-    /// BYE are still attributed to the session during the grace window
-    /// instead of landing in the straggler filter, keeping the books
-    /// exact on reordering links. Must be positive.
-    /// Default: [`DEFAULT_BYE_GRACE`].
+    /// How long a session keeps being served after a BYE frame arrives
+    /// on its own (one datagram, or one read) before the hub retires
+    /// it. Frames reordered past the BYE are still attributed to the
+    /// session during the grace window instead of being dropped as
+    /// stragglers, keeping the books exact on reordering links; a close
+    /// ends the wait. Must be positive. Default: [`DEFAULT_BYE_GRACE`].
     pub bye_grace: Duration,
 }
 
@@ -208,8 +209,8 @@ pub struct HubSession {
 /// (atomic counters, no table lock) — poll it from a watchdog.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HubHealth {
-    /// Sessions the hubs started serving (fresh connections / peers;
-    /// resume adoptions do not count twice).
+    /// Sessions the hubs started serving, each on its peer's first
+    /// CRC-valid frame (resume adoptions do not count twice).
     pub sessions_started: u64,
     /// Sessions that finished and landed in the table.
     pub sessions_finished: u64,
@@ -222,7 +223,8 @@ pub struct HubHealth {
     /// cap.
     pub shed: u64,
     /// Sessions force-retired with open books: idle/stalled peers and
-    /// parked sessions whose resume window expired.
+    /// parked sessions whose resume window expired or that a newer park
+    /// displaced.
     pub evicted: u64,
     /// Sessions quarantined for exceeding the
     /// [`HubConfig::malformed_budget`] framing-garbage budget.
@@ -246,13 +248,13 @@ pub struct HubHealth {
 /// before the registry migration, so `HubHealth` values are
 /// bit-identical to the pre-migration implementation.
 #[derive(Debug)]
-struct HealthCounters {
-    started: Counter,
+pub(crate) struct HealthCounters {
+    pub(crate) started: Counter,
     finished: Counter,
-    resumed: Counter,
-    shed: Counter,
-    evicted: Counter,
-    quarantined: Counter,
+    pub(crate) resumed: Counter,
+    pub(crate) shed: Counter,
+    pub(crate) evicted: Counter,
+    pub(crate) quarantined: Counter,
     foreign_frames: Counter,
     decode_errors: Counter,
     events_decoded: Counter,
@@ -279,7 +281,7 @@ impl HealthCounters {
 
     /// Refreshes the in-flight gauge from the started/finished
     /// counters (the typed view computes the same difference).
-    fn update_in_flight(&self) {
+    pub(crate) fn update_in_flight(&self) {
         let in_flight = self.started.get().saturating_sub(self.finished.get());
         self.in_flight.set(in_flight as f64);
     }
@@ -301,7 +303,7 @@ pub struct SessionTable {
     // hubs sharing the table also share the id space.
     next_conn_id: AtomicU64,
     registry: Registry,
-    health: HealthCounters,
+    pub(crate) health: HealthCounters,
 }
 
 impl Default for SessionTable {
@@ -392,7 +394,7 @@ impl SessionTable {
     /// (in-flight vs `max_sessions`, scaled 0–255) plus a boost for
     /// recent shedding/quarantine activity. An uncapped hub reports the
     /// activity boost alone — it has no occupancy to measure. Cheap
-    /// (relaxed atomic reads), called per read/datagram.
+    /// (relaxed atomic reads), called on every hub tick.
     pub fn pressure_level(&self, max_sessions: Option<usize>) -> u8 {
         let h = &self.health;
         let boost = 16u64
@@ -407,16 +409,6 @@ impl SessionTable {
             None => 0,
         };
         occupancy.saturating_add(boost).min(255) as u8
-    }
-
-    /// A reconnect adopted a parked session.
-    pub(crate) fn note_resumed(&self) {
-        self.health.resumed.inc();
-    }
-
-    /// A connection/peer was turned away at the session cap.
-    pub(crate) fn note_shed(&self) {
-        self.health.shed.inc();
     }
 
     /// Number of finished sessions recorded.
@@ -443,7 +435,7 @@ impl SessionTable {
 pub type SinkFactory = Arc<dyn Fn(u64) -> Box<dyn SessionSink> + Send + Sync>;
 
 /// A telemetry ingest gateway bound to a local address: a background
-/// thread (the TCP acceptor with its per-connection workers, or the UDP
+/// thread (the TCP acceptor with its per-connection readers, or the UDP
 /// receive loop) serves sessions into a [`SessionTable`] until
 /// [`shutdown`](Hub::shutdown). Use it as [`TelemetryHub`] (TCP) or
 /// [`UdpTelemetryHub`](crate::udp::UdpTelemetryHub); `K` is the
@@ -522,9 +514,9 @@ impl<K> Hub<K> {
         Arc::clone(&self.table)
     }
 
-    /// Number of *finished* sessions in the table (a TCP session lands
-    /// once its socket closes, a UDP peer once its BYE is decoded or the
-    /// hub shuts down).
+    /// Number of *finished* sessions in the table (a session lands once
+    /// its BYE's grace window ends or its connection closes, when it is
+    /// evicted or quarantined, or when the hub shuts down).
     pub fn session_count(&self) -> usize {
         self.table.len()
     }
@@ -599,402 +591,152 @@ impl TelemetryHub {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Hub::spawn(addr, table, move |table, stop| {
-            accept_loop(listener, config, table, sink_factory, stop)
+            accept_loop(listener, HubCore::new(config, table, sink_factory), stop)
         }))
     }
 }
 
-/// Why a hub retired an in-flight session: decides which [`HubHealth`]
-/// counter [`LiveSession::finish`] bumps besides `sessions_finished`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EndReason {
-    /// The session ended on its own: BYE, EOF (when not parked for
-    /// resume), a takeover by the peer's next session, or hub shutdown.
-    Closed,
-    /// Force-retired with open books: a stalled socket, an idle peer, or
-    /// a parked session whose resume window expired or was displaced.
-    /// Counted in [`HubHealth::evicted`].
-    Evicted,
-    /// Over the framing-garbage budget. Counted in
-    /// [`HubHealth::quarantined`].
-    Quarantined,
+/// The TCP hub's [`HubCore`] and the write half of every open
+/// connection, shared by the acceptor and the connection readers.
+struct Shared {
+    core: HubCore<u64>,
+    conns: HashMap<u64, Arc<TcpStream>>,
+    actions: Vec<Action<u64>>,
 }
 
-/// One in-flight hub session, the same for both transports: the TCP hub
-/// runs one per connection (and parks it between connections), the UDP
-/// hub one per peer address.
-pub(crate) struct LiveSession {
-    conn_id: u64,
-    pub(crate) rx: SessionRx,
-    /// Bytes read off the transport.
-    pub(crate) bytes_received: u64,
-}
-
-impl LiveSession {
-    /// Opens a fresh session under `conn_id`: counts it started,
-    /// registers its per-session series (retired when it finishes) and
-    /// attaches the sink.
-    pub(crate) fn open(
-        table: &SessionTable,
-        conn_id: u64,
-        config: &SessionRxConfig,
-        sink: Option<Box<dyn SessionSink>>,
-    ) -> LiveSession {
-        table.health.started.inc();
-        table.health.update_in_flight();
-        let mut rx = SessionRx::new(config.clone()).with_metrics(
-            SessionObs::register(table.registry(), &conn_id.to_string()).with_retire_on_finish(),
-        );
-        if let Some(sink) = sink {
-            rx = rx.with_sink(sink);
-        }
-        LiveSession {
-            conn_id,
-            rx,
-            bytes_received: 0,
-        }
-    }
-
-    /// Feeds received bytes; returns `true` when the session is now over
-    /// the framing-garbage `budget` (see [`HubConfig::malformed_budget`])
-    /// and must be quarantined.
-    pub(crate) fn ingest(&mut self, bytes: &[u8], budget: Option<u64>) -> bool {
-        self.bytes_received += bytes.len() as u64;
-        self.rx.push_bytes(bytes);
-        budget.is_some_and(|b| self.rx.framing_garbage() > b)
-    }
-
-    /// Retires the session: closes its books, bumps the health counter
-    /// `reason` names and lands the session in the table.
-    pub(crate) fn finish(self, reason: EndReason, table: &SessionTable) {
-        match reason {
-            EndReason::Closed => {}
-            EndReason::Evicted => table.health.evicted.inc(),
-            EndReason::Quarantined => table.health.quarantined.inc(),
-        }
-        let report = self.rx.finish();
-        table.insert(
-            self.conn_id,
-            HubSession {
-                session_id: report.header.map_or(0, |h| h.session_id),
-                bytes_received: self.bytes_received,
-                report,
-            },
-        );
-    }
-}
-
-/// A disconnected-but-unclosed TCP session waiting for its sender to
-/// reconnect and resume.
-struct ParkedSession {
-    session: LiveSession,
-    expires: Instant,
-}
-
-/// Tracks which session identities `(session_id, nonce)` are live on a
-/// worker and which are parked between connections, so a reconnecting
-/// sender's re-HELLO lands on the decoder that already holds its
-/// cumulative index.
-#[derive(Default)]
-struct ResumeRegistry {
-    in_flight: Mutex<HashMap<(u32, u8), u32>>,
-    parked: Mutex<HashMap<(u32, u8), ParkedSession>>,
-}
-
-impl ResumeRegistry {
-    fn enter(&self, key: (u32, u8)) {
-        *self
-            .in_flight
-            .lock()
-            .expect("resume registry poisoned")
-            .entry(key)
-            .or_insert(0) += 1;
-    }
-
-    fn leave(&self, key: (u32, u8)) {
-        let mut map = self.in_flight.lock().expect("resume registry poisoned");
-        if let Some(n) = map.get_mut(&key) {
-            *n -= 1;
-            if *n == 0 {
-                map.remove(&key);
+impl Shared {
+    /// Executes the core's actions: a closed connection is reported back
+    /// to the core at once, so nothing its reader still holds reaches
+    /// the core. FEEDBACK frames are handed back with their connection,
+    /// to be written once the lock is released; only `tick` answers
+    /// with any, so only the acceptor gets them.
+    fn execute(&mut self) -> Vec<(Arc<TcpStream>, Vec<u8>)> {
+        let mut sends = Vec::new();
+        self.core.take_actions(&mut self.actions);
+        for action in self.actions.drain(..) {
+            match action {
+                Action::Send(conn, frame) => {
+                    if let Some(writer) = self.conns.get(&conn) {
+                        sends.push((Arc::clone(writer), frame));
+                    }
+                }
+                Action::Close(conn) => {
+                    if let Some(writer) = self.conns.remove(&conn) {
+                        let _ = writer.shutdown(std::net::Shutdown::Both);
+                        self.core.on_close(conn, Instant::now());
+                    }
+                }
             }
         }
-    }
-
-    /// Claims the parked session for `key` if there is one. When the
-    /// key is still in flight (the reconnect beat the old worker to
-    /// its EOF), waits up to `handoff` for the park to appear.
-    fn try_adopt(&self, key: (u32, u8), handoff: Duration) -> Option<ParkedSession> {
-        let deadline = Instant::now() + handoff;
-        loop {
-            if let Some(p) = self
-                .parked
-                .lock()
-                .expect("resume registry poisoned")
-                .remove(&key)
-            {
-                return Some(p);
-            }
-            let racing = self
-                .in_flight
-                .lock()
-                .expect("resume registry poisoned")
-                .contains_key(&key);
-            if !racing || Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Parks `session` under `key`, returning any session that was
-    /// already parked there (two workers can reach their park for the
-    /// same identity when a sender reconnects repeatedly; the displaced
-    /// one must be finished into the table, never dropped on the
-    /// floor).
-    fn park(&self, key: (u32, u8), session: ParkedSession) -> Option<ParkedSession> {
-        self.parked
-            .lock()
-            .expect("resume registry poisoned")
-            .insert(key, session)
-    }
-
-    fn parked_len(&self) -> usize {
-        self.parked.lock().expect("resume registry poisoned").len()
-    }
-
-    /// Retires parked sessions whose resume window expired by `now` —
-    /// every parked session when `now` is `None` (hub shutdown: nobody
-    /// is left to resume them). Decoded events are delivered and the
-    /// session lands in the table with open books, exactly like an idle
-    /// UDP peer.
-    fn sweep(&self, table: &SessionTable, now: Option<Instant>) {
-        let expired: Vec<ParkedSession> = {
-            let mut parked = self.parked.lock().expect("resume registry poisoned");
-            let keys: Vec<(u32, u8)> = parked
-                .iter()
-                .filter(|(_, p)| now.is_none_or(|now| p.expires <= now))
-                .map(|(k, _)| *k)
-                .collect();
-            keys.iter().filter_map(|k| parked.remove(k)).collect()
-        };
-        for p in expired {
-            p.session.finish(EndReason::Evicted, table);
-        }
+        sends
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    config: HubConfig,
-    table: Arc<SessionTable>,
-    sink_factory: Option<SinkFactory>,
-    stop: Arc<AtomicBool>,
-) {
+/// The TCP shell: accepts connections into the core, starts a reader
+/// per connection and ticks the core every poll quantum.
+fn accept_loop(listener: TcpListener, core: HubCore<u64>, stop: Arc<AtomicBool>) {
     // Non-blocking accept + short poll: a blocking accept could not be
     // woken for shutdown without racing real connections still sitting
     // in the kernel backlog.
     if listener.set_nonblocking(true).is_err() {
         return;
     }
-    let resume = Arc::new(ResumeRegistry::default());
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    let mut stopping = false;
-    let mut last_sweep = Instant::now();
-    loop {
-        let now = Instant::now();
-        if now.duration_since(last_sweep) >= SWEEP_EVERY {
-            resume.sweep(&table, Some(now));
-            last_sweep = now;
-        }
-        match listener.accept() {
-            Ok((socket, _peer)) => {
-                // Workers must block on reads regardless of what the
-                // accepted socket inherited.
+    let shared = Arc::new(Mutex::new(Shared {
+        core,
+        conns: HashMap::new(),
+        actions: Vec::new(),
+    }));
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_conn = 0u64;
+    let mut accepting = true;
+    // Established connections run to their end after a stop request.
+    while accepting || !shared.lock().expect("hub core poisoned").conns.is_empty() {
+        let pass = Instant::now();
+        if accepting {
+            // After a stop request, one last pass drains the backlog.
+            accepting = !stop.load(Ordering::SeqCst);
+            loop {
+                let socket = match listener.accept() {
+                    Ok((socket, _peer)) => socket,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(_) => {
+                        // e.g. out of file descriptors: back off instead
+                        // of spinning on the error
+                        std::thread::sleep(POLL);
+                        break;
+                    }
+                };
+                // Readers block regardless of what the accepted socket
+                // inherited; a FEEDBACK write waits at most one poll
+                // quantum, outside the core's lock, so a sender that
+                // never drains its receive half delays only the ticks.
+                let Ok(writer) = socket.try_clone() else {
+                    continue;
+                };
                 if socket.set_nonblocking(false).is_err() {
                     continue;
                 }
-                // Reap finished workers so long-running hubs don't
-                // accumulate handles (and so the cap below counts only
-                // live sessions).
-                workers.retain(|h| !h.is_finished());
-                if let Some(cap) = config.max_sessions {
-                    if workers.len() + resume.parked_len() >= cap {
-                        // Shed: accept-and-drop keeps the backlog
-                        // moving and sends the peer a clean close.
-                        table.note_shed();
-                        drop(socket);
-                        continue;
-                    }
-                }
-                let table = Arc::clone(&table);
-                let resume = Arc::clone(&resume);
-                let conn_id = table.next_conn_id();
-                let config = config.clone();
-                let sink = sink_factory.as_ref().map(|f| f(conn_id));
-                workers.push(std::thread::spawn(move || {
-                    serve_connection(conn_id, socket, config, &table, sink, &resume)
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if stopping {
-                    break; // backlog drained after the stop request
-                }
-                if stop.load(Ordering::SeqCst) {
-                    stopping = true; // one more pass to drain the backlog
-                    continue;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
+                let _ = writer.set_write_timeout(Some(POLL));
+                let conn = next_conn;
+                next_conn += 1;
+                let served = {
+                    let mut guard = shared.lock().expect("hub core poisoned");
+                    guard.conns.insert(conn, Arc::new(writer));
+                    guard.core.on_open(conn, Instant::now());
+                    guard.execute();
+                    guard.conns.contains_key(&conn)
+                };
+                if served {
+                    // not shed: reap finished readers, start this one
+                    readers.retain(|h| !h.is_finished());
+                    let shared = Arc::clone(&shared);
+                    readers.push(std::thread::spawn(move || {
+                        read_connection(conn, socket, &shared)
+                    }));
                 }
             }
         }
+        let sends = {
+            let mut guard = shared.lock().expect("hub core poisoned");
+            guard.core.tick(Instant::now());
+            guard.execute()
+        };
+        for (writer, frame) in sends {
+            let _ = (&*writer).write_all(&frame); // best effort
+        }
+        // Waiting for the lock or a FEEDBACK write must not stretch the
+        // accept poll past its quantum.
+        std::thread::sleep(POLL.saturating_sub(pass.elapsed()));
     }
-    for h in workers {
+    for h in readers {
         let _ = h.join();
     }
-    // Workers parked during shutdown have nobody left to resume them.
-    resume.sweep(&table, None);
+    let shared = Arc::try_unwrap(shared).ok().expect("every reader joined");
+    let shared = shared.into_inner().expect("hub core poisoned");
+    shared.core.shutdown(Instant::now());
 }
 
-/// How a failed read ends a connection: the read timeout means a
-/// stalled peer (evicted), anything else a hard close.
-fn read_error_end(e: &std::io::Error) -> EndReason {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => EndReason::Evicted,
-        _ => EndReason::Closed,
-    }
-}
-
-/// What the preamble peek found at the front of a fresh connection.
-enum Peek {
-    Hello(SessionHeader),
-    NotHello,
-    More,
-}
-
-fn serve_connection(
-    conn_id: u64,
-    mut socket: TcpStream,
-    config: HubConfig,
-    table: &SessionTable,
-    sink: Option<Box<dyn SessionSink>>,
-    resume: &ResumeRegistry,
-) {
-    // The idle timeout doubles as the per-connection read timeout, so
-    // a stalled (slowloris) socket retires through the same drain path
-    // as an idle UDP peer instead of pinning this worker forever.
-    let _ = socket.set_read_timeout(config.idle_timeout);
-    // FEEDBACK write-back is best effort: bounded blocking, errors
-    // dropped — flow control must never wedge ingest.
-    let _ = socket.set_write_timeout(Some(FEEDBACK_WRITE_TIMEOUT));
-
-    // Peek the first complete frame so a re-HELLO from a reconnecting
-    // sender can adopt its parked session before any bytes hit a
-    // fresh decoder.
-    let mut pre: Vec<u8> = Vec::new();
+/// One connection's reader: feeds every read to the core, then the EOF
+/// (a read error ends the connection the same way).
+fn read_connection(conn: u64, mut socket: TcpStream, shared: &Mutex<Shared>) {
     let mut buf = [0u8; 4096];
-    let mut early_end: Option<EndReason> = None;
-    let hello: Option<SessionHeader> = loop {
-        let peek = match parse_frame(&pre) {
-            ParseOutcome::Frame { frame, .. } if frame.ftype == FrameType::Hello => {
-                SessionHeader::decode(frame.payload).map_or(Peek::NotHello, Peek::Hello)
-            }
-            ParseOutcome::Frame { .. } => Peek::NotHello,
-            ParseOutcome::NeedMore if pre.len() <= PREFRAME_CAP => Peek::More,
-            _ => Peek::NotHello,
+    loop {
+        let read = socket.read(&mut buf);
+        if matches!(&read, Err(e) if e.kind() == std::io::ErrorKind::Interrupted) {
+            continue;
+        }
+        let mut guard = shared.lock().expect("hub core poisoned");
+        if !guard.conns.contains_key(&conn) {
+            return; // the hub closed it
+        }
+        let Ok(n @ 1..) = read else {
+            guard.conns.remove(&conn);
+            guard.core.on_close(conn, Instant::now());
+            guard.execute();
+            return;
         };
-        match peek {
-            Peek::Hello(h) => break Some(h),
-            Peek::NotHello => break None,
-            Peek::More => match socket.read(&mut buf) {
-                Ok(0) => {
-                    early_end = Some(EndReason::Closed);
-                    break None;
-                }
-                Ok(n) => pre.extend_from_slice(&buf[..n]),
-                Err(e) => {
-                    early_end = Some(read_error_end(&e));
-                    break None;
-                }
-            },
-        }
-    };
-
-    let key = hello.as_ref().map(|h| (h.session_id, h.nonce()));
-    let adopted = match (key, config.resume_window) {
-        (Some(k), Some(_)) => resume.try_adopt(k, RESUME_HANDOFF),
-        _ => None,
-    };
-    let mut session = match adopted {
-        Some(p) => {
-            table.note_resumed();
-            p.session
-        }
-        None => LiveSession::open(table, conn_id, &config.session, sink),
-    };
-    if let Some(k) = key {
-        resume.enter(k);
-    }
-
-    // Writes the session's flow-control report back down the duplex
-    // connection when one is due at `now` (the session's cadence
-    // limiter makes the per-read call cheap). Best effort: a sender
-    // that never reads its receive half, or a half-closed socket, must
-    // not end the session — TCP's own flow control still paces the
-    // byte stream.
-    let send_feedback = |session: &mut LiveSession, socket: &TcpStream, now: Instant| {
-        let pressure = table.pressure_level(config.max_sessions);
-        if let Some(fb) = session.rx.feedback_due(pressure, now) {
-            let _ = (&*socket).write_all(&fb);
-        }
-    };
-    let budget = config.malformed_budget;
-    let over_budget = session.ingest(&pre, budget);
-    send_feedback(&mut session, &socket, Instant::now());
-
-    let end = match early_end {
-        Some(end) => end,
-        None if over_budget => EndReason::Quarantined,
-        None => loop {
-            match socket.read(&mut buf) {
-                Ok(0) => break EndReason::Closed,
-                Ok(n) => {
-                    if session.ingest(&buf[..n], budget) {
-                        break EndReason::Quarantined;
-                    }
-                    send_feedback(&mut session, &socket, Instant::now());
-                }
-                Err(e) => break read_error_end(&e),
-            }
-        },
-    };
-
-    // A connection that dropped cleanly mid-session (no BYE) parks for
-    // resume; everything else — closed books, stalls, quarantines, or
-    // resume disabled — finishes into the table now.
-    //
-    // Ordering matters: the park must be registered *before* this
-    // worker leaves the in-flight set. A reconnecting sender's
-    // `try_adopt` polls only while the key is in flight — leaving
-    // first would open a window where neither the park nor the
-    // in-flight mark is visible and the reconnect would start a fresh
-    // session, booking the entire delivered prefix as gap loss.
-    let resumable = end == EndReason::Closed && !session.rx.is_closed();
-    match (key, config.resume_window) {
-        (Some(k), Some(window)) if resumable => {
-            let expires = Instant::now() + window;
-            if let Some(displaced) = resume.park(k, ParkedSession { session, expires }) {
-                displaced.session.finish(EndReason::Evicted, table);
-            }
-        }
-        _ => session.finish(end, table),
-    }
-    if let Some(k) = key {
-        resume.leave(k);
+        guard.core.on_bytes(conn, &buf[..n], Instant::now());
+        guard.execute();
     }
 }
 
@@ -1397,13 +1139,15 @@ impl Transport for TcpTransport {
     /// Half-closes our side so the next write takes the
     /// reconnect-and-resume path. Write-only shutdown (not `Both`,
     /// whose SHUT_RD would make our own reads return EOF immediately)
-    /// lets us then drain the peer's FIN — the hub worker closes its
-    /// end only after parking the session, so once the drain completes
-    /// the park deterministically exists and the reconnect adopts it
-    /// instead of racing the worker.
+    /// lets us then drain the peer's FIN — the hub closes its end only
+    /// after parking the session, so once the drain completes the park
+    /// deterministically exists and the reconnect adopts it instead of
+    /// racing the old connection's EOF.
     fn disconnect(&mut self) {
         let _ = self.socket.shutdown(std::net::Shutdown::Write);
-        let _ = self.socket.set_read_timeout(Some(RESUME_HANDOFF));
+        let _ = self
+            .socket
+            .set_read_timeout(Some(crate::hub::RESUME_HANDOFF));
         let mut drain = [0u8; 512];
         while matches!(self.socket.read(&mut drain), Ok(n) if n > 0) {}
     }
@@ -1538,8 +1282,8 @@ impl SessionSender {
     }
 }
 
-/// Rejects hub configs that would panic lazily inside a worker/receive
-/// thread (where a panic means silently lost sessions, not an error).
+/// Rejects hub configs that would panic lazily inside a hub thread
+/// (where a panic means silently lost sessions, not an error).
 /// Mirrors every assert the per-channel reconstructor constructors and
 /// the [`ForceRing`](crate::sink::ForceRing) perform on first HELLO.
 pub(crate) fn validate_config(config: &HubConfig) -> std::io::Result<()> {
@@ -1865,44 +1609,6 @@ mod tests {
         assert_eq!(table.len(), 2);
     }
 
-    #[test]
-    fn each_end_reason_bumps_its_own_counter_and_lands_one_session() {
-        // Socket-free: open, feed and retire sessions straight through
-        // the shared lifecycle, once per reason.
-        let table = SessionTable::default();
-        let header = SessionHeader::new(8, 1, 2000.0, 1.0);
-        let wire = crate::packet::encode_session(header, &[]);
-        let reasons = [
-            (EndReason::Closed, (0, 0)),
-            (EndReason::Evicted, (1, 0)),
-            (EndReason::Quarantined, (0, 1)),
-        ];
-        for (i, (reason, (evicted, quarantined))) in reasons.into_iter().enumerate() {
-            let conn_id = table.next_conn_id();
-            let mut session = LiveSession::open(&table, conn_id, &SessionRxConfig::default(), None);
-            assert!(
-                !session.ingest(&wire, Some(0)),
-                "clean bytes stay in budget"
-            );
-            let before = table.health();
-            session.finish(reason, &table);
-            assert_eq!(table.len(), i + 1, "{reason:?} lands exactly one session");
-            let landed = table.snapshot().into_iter().last().expect("just landed");
-            assert_eq!(landed.bytes_received, wire.len() as u64);
-            // health counters are registry-backed: zeros with metrics off
-            if cfg!(feature = "metrics") {
-                let expected = HubHealth {
-                    sessions_finished: before.sessions_finished + 1,
-                    in_flight: before.in_flight - 1,
-                    evicted: before.evicted + evicted,
-                    quarantined: before.quarantined + quarantined,
-                    ..before
-                };
-                assert_eq!(table.health(), expected, "{reason:?}");
-            }
-        }
-    }
-
     /// Polls `cond` every 2 ms for up to ~4 s, panicking with `what` on
     /// timeout — for assertions against the hub's background threads.
     fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
@@ -1913,105 +1619,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         panic!("timed out waiting for: {what}");
-    }
-
-    #[test]
-    fn stalled_connection_is_evicted_by_the_read_timeout() {
-        let config = HubConfig {
-            idle_timeout: Some(Duration::from_millis(60)),
-            ..HubConfig::default()
-        };
-        let hub = TelemetryHub::bind("127.0.0.1:0", config).unwrap();
-        let header = SessionHeader::new(9, 1, 2000.0, 1.0);
-        let mut pk = Packetizer::new(header);
-        let mut raw = TcpStream::connect(hub.local_addr()).unwrap();
-        raw.write_all(&pk.hello()).unwrap();
-        // …then say nothing, forever: a slowloris-style stall. The
-        // per-connection read timeout must retire the session without
-        // waiting for the peer to hang up.
-        wait_until(
-            || hub.session_table().len() == 1,
-            "stalled session retired into the table",
-        );
-        // health counters are registry-backed: zeros with metrics off
-        if cfg!(feature = "metrics") {
-            assert_eq!(hub.health().evicted, 1);
-        }
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 1);
-        assert!(
-            !sessions[0].report.stats.closed,
-            "books stay open: no BYE ever arrived"
-        );
-        drop(raw);
-    }
-
-    #[test]
-    fn session_cap_sheds_excess_connections() {
-        let config = HubConfig {
-            max_sessions: Some(0),
-            ..HubConfig::default()
-        };
-        let hub = TelemetryHub::bind("127.0.0.1:0", config).unwrap();
-        let header = SessionHeader::new(1, 1, 2000.0, 1.0);
-        // The hub accepts and immediately drops the socket; depending
-        // on timing the client sees the close at different points, so
-        // every client-side error is tolerated here.
-        if let Ok(mut tx) = SessionSender::connect(hub.local_addr(), header) {
-            let events: Vec<AddressedEvent> = (0..40)
-                .map(|i| AddressedEvent {
-                    channel: 0,
-                    event: Event::at_tick(i * 31, header.tick_period_s, None),
-                })
-                .collect();
-            let _ = tx.send_events(&events);
-            let _ = tx.finish();
-        }
-        // The shed counter is registry-backed (zeros with metrics off);
-        // either way the shutdown below must find no session state.
-        if cfg!(feature = "metrics") {
-            wait_until(|| hub.health().shed >= 1, "connection shed at the cap");
-        }
-        let sessions = hub.shutdown();
-        assert!(sessions.is_empty(), "no session state allocated at cap 0");
-    }
-
-    #[test]
-    fn framing_garbage_flood_is_quarantined() {
-        let config = HubConfig {
-            malformed_budget: Some(4),
-            ..HubConfig::default()
-        };
-        let hub = TelemetryHub::bind("127.0.0.1:0", config).unwrap();
-        let header = SessionHeader::new(3, 1, 2000.0, 1.0);
-        let mut pk = Packetizer::new(header);
-        let mut raw = TcpStream::connect(hub.local_addr()).unwrap();
-        raw.write_all(&pk.hello()).unwrap();
-        // A flood of CRC-broken frames: flip the last CRC byte.
-        let mut bad = crate::frame::encode_frame(FrameType::DataV2, 1, &[0u8; 16]);
-        *bad.last_mut().unwrap() ^= 0xFF;
-        for _ in 0..64 {
-            // The hub hangs up mid-flood once the budget trips.
-            if raw.write_all(&bad).is_err() {
-                break;
-            }
-        }
-        let _ = raw.flush();
-        // The quarantined peer retires into the session table — a real
-        // collection, so this synchronizes with or without metrics.
-        wait_until(
-            || hub.session_table().len() == 1,
-            "garbage flood quarantined",
-        );
-        if cfg!(feature = "metrics") {
-            assert_eq!(hub.health().quarantined, 1);
-        }
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 1);
-        assert!(
-            sessions[0].report.stats.crc_failures >= 4,
-            "the decoder counted the garbage before the cutoff"
-        );
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! * [`gateway`] — the [`TelemetryHub`]: a TCP
 //!   loopback ingest gateway multiplexing many concurrent sensor
 //!   sessions, fed by [`FleetRunner`](datc_engine::FleetRunner) via
-//!   [`stream_fleet`] — plus what both transports share: one session
-//!   lifecycle for the hubs and one sender core
+//!   [`stream_fleet`] — plus what both transports share: one
+//!   socket-free session lifecycle the hubs drive, and one sender core
 //!   ([`Sender`](gateway::Sender) over a [`Transport`](gateway::Transport))
 //!   behind [`SessionSender`] and [`UdpSessionSender`];
 //! * [`udp`] — the same gateway over datagrams
@@ -113,6 +113,7 @@ pub mod decode;
 pub mod flow;
 pub mod frame;
 pub mod gateway;
+mod hub;
 pub mod obs;
 pub mod packet;
 pub mod session;

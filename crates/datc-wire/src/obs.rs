@@ -9,7 +9,7 @@
 //! sync per socket read or per frame batch, a handful of relaxed
 //! stores each. Even the session latency histogram is batched: release
 //! batches leave the reorder buffer time-ordered, so
-//! [`SessionObs::observe_latency_sorted`] finds each log-bucket
+//! [`SessionObs::observe_latency_batch`] finds each log-bucket
 //! boundary by binary search (`O(buckets · log n)` per batch) instead
 //! of paying a divide and three `fetch_add`s per event — and only when
 //! a [`SessionObs`] is attached; an uninstrumented session pays
@@ -67,7 +67,6 @@
 use crate::decode::WireCounters;
 use crate::packet::Packetizer;
 use datc_obs::{Counter, Gauge, Histogram, Registry};
-use datc_uwb::aer::AddressedEvent;
 
 /// Smoothing factor for the per-session event-rate EWMA gauge.
 const EVENT_RATE_ALPHA: f64 = 0.2;
@@ -332,7 +331,10 @@ impl SessionObs {
 
     /// Observes the ingest→release latency of a whole time-ordered
     /// batch of released events against `watermark_s`, in ticks of
-    /// `tick_period_s` — without per-event bucketing work.
+    /// `tick_period_s` — without per-event bucketing work. The batch is
+    /// the struct-of-arrays tick column; each event's timestamp is
+    /// `tick * tick_period_s`, exactly the `time_s` a materialised event
+    /// would carry.
     ///
     /// Released batches are time-ordered ascending, so the tick
     /// latency `round((watermark − t) / period)` is monotone
@@ -345,35 +347,29 @@ impl SessionObs {
     /// The histogram `sum` is the truncated total of the *un-rounded*
     /// tick latencies (deterministic, and at least as accurate as
     /// summing per-event roundings).
-    pub fn observe_latency_sorted(
-        &self,
-        events: &[AddressedEvent],
-        watermark_s: f64,
-        tick_period_s: f64,
-    ) {
-        if events.is_empty() || tick_period_s <= 0.0 {
+    pub fn observe_latency_batch(&self, ticks: &[u64], watermark_s: f64, tick_period_s: f64) {
+        if ticks.is_empty() || tick_period_s <= 0.0 {
             return;
         }
         debug_assert!(
-            events
-                .windows(2)
-                .all(|w| w[0].event.time_s <= w[1].event.time_s),
+            ticks.windows(2).all(|w| w[0] <= w[1]),
             "latency batches must be time-ordered (decoder release order)"
         );
         let inv = 1.0 / tick_period_s;
+        let time = |tick: u64| tick as f64 * tick_period_s;
         // Pre-truncation latency; monotone non-increasing in t. For an
         // integer threshold V >= 1, trunc(x) >= V ⇔ x >= V, so the
         // prefix with x >= 2^k is exactly the events in buckets > k.
         let x = |t: f64| (watermark_s - t).max(0.0) * inv + 0.5;
         let mut counts = [0u64; datc_obs::BUCKETS];
-        let n = events.len();
+        let n = ticks.len();
         // ge = events with latency >= 2^0, always a prefix
-        let mut prev = events.partition_point(|ae| x(ae.event.time_s) >= 1.0);
+        let mut prev = ticks.partition_point(|&tk| x(time(tk)) >= 1.0);
         counts[0] = (n - prev) as u64;
         let mut k = 0usize;
         while prev > 0 && k < 63 {
             let threshold = (2u64 << k) as f64; // 2^(k+1)
-            let next = events[..prev].partition_point(|ae| x(ae.event.time_s) >= threshold);
+            let next = ticks[..prev].partition_point(|&tk| x(time(tk)) >= threshold);
             counts[k + 1] = (prev - next) as u64;
             prev = next;
             k += 1;
@@ -385,62 +381,6 @@ impl SessionObs {
         // n·w − Σt — and Σt is a bare sum, four accumulators to break
         // the FP add latency chain. The clamped fallback only runs on
         // out-of-range batches.
-        let newest = events[n - 1].event.time_s;
-        let total_wait_s = if newest <= watermark_s {
-            let mut acc = [0.0f64; 4];
-            let chunks = events.chunks_exact(4);
-            let remainder = chunks.remainder();
-            for c in chunks {
-                for (a, ae) in acc.iter_mut().zip(c) {
-                    *a += ae.event.time_s;
-                }
-            }
-            let mut t_sum = acc[0] + acc[1] + acc[2] + acc[3];
-            for ae in remainder {
-                t_sum += ae.event.time_s;
-            }
-            n as f64 * watermark_s - t_sum
-        } else {
-            events
-                .iter()
-                .map(|ae| (watermark_s - ae.event.time_s).max(0.0))
-                .sum()
-        };
-        self.latency_ticks
-            .observe_bucketed(&counts, (total_wait_s * inv) as u64);
-    }
-
-    /// [`observe_latency_sorted`](SessionObs::observe_latency_sorted)
-    /// over a struct-of-arrays batch's tick column — the zero-copy
-    /// pipeline's form. Each event's timestamp is derived as
-    /// `tick * tick_period_s` (exactly the `time_s` a materialised
-    /// event would carry), so the resulting histogram is bit-identical
-    /// to observing the row-form batch: same partition points, same
-    /// chunked four-accumulator sum.
-    pub fn observe_latency_batch(&self, ticks: &[u64], watermark_s: f64, tick_period_s: f64) {
-        if ticks.is_empty() || tick_period_s <= 0.0 {
-            return;
-        }
-        debug_assert!(
-            ticks.windows(2).all(|w| w[0] <= w[1]),
-            "latency batches must be time-ordered (decoder release order)"
-        );
-        let inv = 1.0 / tick_period_s;
-        let time = |tick: u64| tick as f64 * tick_period_s;
-        let x = |t: f64| (watermark_s - t).max(0.0) * inv + 0.5;
-        let mut counts = [0u64; datc_obs::BUCKETS];
-        let n = ticks.len();
-        let mut prev = ticks.partition_point(|&tk| x(time(tk)) >= 1.0);
-        counts[0] = (n - prev) as u64;
-        let mut k = 0usize;
-        while prev > 0 && k < 63 {
-            let threshold = (2u64 << k) as f64; // 2^(k+1)
-            let next = ticks[..prev].partition_point(|&tk| x(time(tk)) >= threshold);
-            counts[k + 1] = (prev - next) as u64;
-            prev = next;
-            k += 1;
-        }
-        counts[datc_obs::BUCKETS - 1] += prev as u64;
         let newest = time(ticks[n - 1]);
         let total_wait_s = if newest <= watermark_s {
             let mut acc = [0.0f64; 4];
@@ -706,107 +646,39 @@ mod tests {
 
     #[test]
     fn sorted_latency_batches_match_per_event_observation() {
-        use datc_core::Event;
-
         // Time-ordered release batches with ties, zero-latency tails
         // and wide dynamic range: the binary-searched bucketing must
-        // agree bucket-for-bucket with the per-event reference.
-        let period = 1.0 / 2000.0;
-        let cases: Vec<Vec<f64>> = vec![
-            vec![],
-            vec![0.5],
-            vec![0.1, 0.2, 0.2, 0.3, 0.5, 0.5],
-            (0..500).map(|i| i as f64 * 1.3e-3).collect(),
-        ];
-        for times in cases {
-            let watermark = times.last().copied().unwrap_or(0.0) + 0.25;
-            let events: Vec<AddressedEvent> = times
-                .iter()
-                .map(|&t| AddressedEvent {
-                    channel: 0,
-                    event: Event::at_tick((t / period) as u64, period, Some(5)),
-                })
-                .collect();
-
-            let reg = Registry::new();
-            let fast = SessionObs::register(&reg, "fast");
-            fast.observe_latency_sorted(&events, watermark, period);
-            let reference = SessionObs::register(&reg, "ref");
-            for ae in &events {
-                let wait_s = (watermark - ae.event.time_s).max(0.0);
-                reference.observe_latency_ticks((wait_s / period).round() as u64);
-            }
-            assert_eq!(
-                fast.latency_ticks.snapshot().buckets,
-                reference.latency_ticks.snapshot().buckets,
-                "bucketing must match per-event observation ({} events)",
-                events.len()
-            );
-            assert_eq!(fast.latency_ticks.count(), reference.latency_ticks.count());
-            // sums use the un-rounded total: within one tick per event
-            let n = events.len() as u64;
-            assert!(
-                fast.latency_ticks
-                    .sum()
-                    .abs_diff(reference.latency_ticks.sum())
-                    <= n,
-                "sums within rounding slack"
-            );
-        }
-    }
-
-    #[test]
-    fn soa_batch_latency_is_bit_identical_to_row_form() {
-        use datc_core::Event;
-
-        // The SoA pipeline observes latency from the tick column; the
-        // derived timestamps are the same f64s the row form carries, so
-        // buckets AND sums must match exactly — not just within slack.
+        // agree bucket-for-bucket with the per-event reference — also
+        // when the watermark lags the newest event (the clamped path).
         let period = 1.0 / 2000.0;
         let tick_runs: Vec<Vec<u64>> = vec![
             vec![],
             vec![1000],
-            vec![0, 0, 7, 7, 400, 400, 401],
+            vec![200, 400, 400, 600, 1000, 1000],
+            (0..500).map(|i| i * 13 / 5).collect(),
             (0..777).map(|i| i * i / 3).collect(),
         ];
         for ticks in tick_runs {
-            let events: Vec<AddressedEvent> = ticks
-                .iter()
-                .map(|&tk| AddressedEvent {
-                    channel: 0,
-                    event: Event::at_tick(tk, period, None),
-                })
-                .collect();
-            let watermark = ticks.last().map_or(0.0, |&tk| tk as f64 * period) + 0.125;
-
-            let reg = Registry::new();
-            let rows = SessionObs::register(&reg, "rows");
-            rows.observe_latency_sorted(&events, watermark, period);
-            let cols = SessionObs::register(&reg, "cols");
-            cols.observe_latency_batch(&ticks, watermark, period);
-            assert_eq!(
-                cols.latency_ticks.snapshot().buckets,
-                rows.latency_ticks.snapshot().buckets,
-                "{} events",
-                ticks.len()
-            );
-            assert_eq!(cols.latency_ticks.count(), rows.latency_ticks.count());
-            assert_eq!(cols.latency_ticks.sum(), rows.latency_ticks.sum());
-
-            // A watermark behind the newest event exercises the clamped
-            // fallback path in both forms.
-            if let Some(&last) = ticks.last() {
-                let behind = last as f64 * period * 0.5;
+            let newest = ticks.last().map_or(0.0, |&tk| tk as f64 * period);
+            for watermark in [newest + 0.25, newest * 0.5] {
                 let reg = Registry::new();
-                let rows = SessionObs::register(&reg, "rows");
-                rows.observe_latency_sorted(&events, behind, period);
-                let cols = SessionObs::register(&reg, "cols");
-                cols.observe_latency_batch(&ticks, behind, period);
+                let fast = SessionObs::register(&reg, "fast");
+                fast.observe_latency_batch(&ticks, watermark, period);
+                let reference = SessionObs::register(&reg, "ref");
+                for &tk in &ticks {
+                    let wait_s = (watermark - tk as f64 * period).max(0.0);
+                    reference.observe_latency_ticks((wait_s / period).round() as u64);
+                }
+                let what = format!("{} events, watermark {watermark}", ticks.len());
                 assert_eq!(
-                    cols.latency_ticks.snapshot().buckets,
-                    rows.latency_ticks.snapshot().buckets
+                    fast.latency_ticks.snapshot().buckets,
+                    reference.latency_ticks.snapshot().buckets,
+                    "bucketing must match per-event observation ({what})"
                 );
-                assert_eq!(cols.latency_ticks.sum(), rows.latency_ticks.sum());
+                assert_eq!(fast.latency_ticks.count(), reference.latency_ticks.count());
+                // sums use the un-rounded total: within one tick per event
+                let (a, b) = (fast.latency_ticks.sum(), reference.latency_ticks.sum());
+                assert!(a.abs_diff(b) <= ticks.len() as u64, "sum slack ({what})");
             }
         }
     }

@@ -181,16 +181,6 @@ pub struct WireEvent {
     pub code: Option<u8>,
 }
 
-/// A decoded DATA payload: the packet's position in the session's event
-/// sequence plus its events.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataPacket {
-    /// Cumulative index (within the session) of the first event.
-    pub first_index: u64,
-    /// The events, tick-ordered.
-    pub events: Vec<WireEvent>,
-}
-
 const KEY_HAS_CODE: u8 = 0x80;
 const KEY_EXT: u8 = 0x40;
 const KEY_DELTA_MASK: u8 = 0x3F;
@@ -204,15 +194,16 @@ const KEY_DELTA_MASK: u8 = 0x3F;
 /// # Example
 ///
 /// ```
-/// use datc_wire::packet::{decode_data, encode_data, WireEvent};
+/// use datc_wire::batch::EventBatch;
+/// use datc_wire::packet::{decode_data_into, encode_data, WireEvent};
 /// let events = vec![
 ///     WireEvent { addr: 0, tick: 1000, code: Some(7) },
 ///     WireEvent { addr: 3, tick: 1010, code: None },
 /// ];
 /// let payload = encode_data(42, &events);
-/// let packet = decode_data(&payload).unwrap();
-/// assert_eq!(packet.first_index, 42);
-/// assert_eq!(packet.events, events);
+/// let mut batch = EventBatch::new();
+/// assert_eq!(decode_data_into(&payload, &mut batch), Some(42));
+/// assert_eq!(batch.iter().collect::<Vec<_>>(), events);
 /// ```
 pub fn encode_data(first_index: u64, events: &[WireEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 + 4 * events.len());
@@ -249,26 +240,12 @@ pub fn encode_data(first_index: u64, events: &[WireEvent]) -> Vec<u8> {
     out
 }
 
-/// Parses a DATA payload; `None` on truncation, trailing garbage or
-/// varint overflow.
-///
-/// Compatibility wrapper over [`decode_data_into`]: allocates a fresh
-/// packet per call. The streaming decoder uses the `_into` form with a
-/// reused arena instead.
-pub fn decode_data(payload: &[u8]) -> Option<DataPacket> {
-    let mut batch = EventBatch::new();
-    let first_index = decode_data_into(payload, &mut batch)?;
-    Some(DataPacket {
-        first_index,
-        events: batch.iter().collect(),
-    })
-}
-
 /// Parses a DATA payload *into* a caller-supplied [`EventBatch`] arena,
 /// appending the decoded events column-wise and returning the packet's
-/// `first_index`. On any format violation the batch is rolled back to
-/// its pre-call length and `None` is returned — a failed decode never
-/// leaks partial events into the arena.
+/// `first_index` (the cumulative index of its first event within the
+/// session). On truncation, trailing garbage or varint overflow the
+/// batch is rolled back to its pre-call length and `None` is returned —
+/// a failed decode never leaks partial events into the arena.
 ///
 /// This is the zero-copy decode entry point: event fields go straight
 /// from the receive buffer into the arena's columns with no per-packet
@@ -351,26 +328,20 @@ fn decode_data_append(payload: &[u8], batch: &mut EventBatch, policy: VarintPoli
 /// # Example
 ///
 /// ```
-/// use datc_wire::packet::{decode_data_v2, encode_data_v2, WireEvent};
+/// use datc_wire::batch::EventBatch;
+/// use datc_wire::packet::{decode_data_into, encode_data_v2, WireEvent};
 /// let events = vec![WireEvent { addr: 0, tick: 70, code: Some(3) }];
 /// let payload = encode_data_v2(0x5A, 7, &events);
-/// let (nonce, packet) = decode_data_v2(&payload).unwrap();
-/// assert_eq!(nonce, 0x5A);
-/// assert_eq!(packet.first_index, 7);
-/// assert_eq!(packet.events, events);
+/// assert_eq!(payload[0], 0x5A); // the nonce leads
+/// let mut batch = EventBatch::new();
+/// assert_eq!(decode_data_into(&payload[1..], &mut batch), Some(7));
+/// assert_eq!(batch.iter().collect::<Vec<_>>(), events);
 /// ```
 pub fn encode_data_v2(nonce: u8, first_index: u64, events: &[WireEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(3 + 4 * events.len());
     out.push(nonce);
     out.extend_from_slice(&encode_data(first_index, events));
     out
-}
-
-/// Parses a DATA-V2 payload into its nonce and packet; `None` on an
-/// empty payload or any DATA-format violation.
-pub fn decode_data_v2(payload: &[u8]) -> Option<(u8, DataPacket)> {
-    let (&nonce, rest) = payload.split_first()?;
-    Some((nonce, decode_data(rest)?))
 }
 
 /// Per-channel sent totals announced at session close.
@@ -699,6 +670,13 @@ mod tests {
         WireEvent { addr, tick, code }
     }
 
+    /// A DATA payload's first index and events, through a fresh arena.
+    fn decode(payload: &[u8]) -> Option<(u64, Vec<WireEvent>)> {
+        let mut batch = EventBatch::new();
+        let first_index = decode_data_into(payload, &mut batch)?;
+        Some((first_index, batch.iter().collect()))
+    }
+
     #[test]
     fn data_round_trip_with_mixed_codes_and_gaps() {
         let events = vec![
@@ -710,9 +688,7 @@ mod tests {
             ev(7, u64::MAX, None),
         ];
         let payload = encode_data(999, &events);
-        let packet = decode_data(&payload).unwrap();
-        assert_eq!(packet.first_index, 999);
-        assert_eq!(packet.events, events);
+        assert_eq!(decode(&payload), Some((999, events)));
     }
 
     #[test]
@@ -727,11 +703,11 @@ mod tests {
     fn truncated_or_padded_data_rejected() {
         let payload = encode_data(0, &[ev(0, 100, Some(3)), ev(1, 200, None)]);
         for cut in 1..payload.len() {
-            assert_eq!(decode_data(&payload[..cut]), None, "cut {cut}");
+            assert_eq!(decode(&payload[..cut]), None, "cut {cut}");
         }
         let mut padded = payload.clone();
         padded.push(0);
-        assert_eq!(decode_data(&padded), None);
+        assert_eq!(decode(&padded), None);
     }
 
     #[test]

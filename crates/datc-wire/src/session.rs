@@ -1,9 +1,9 @@
 //! One receive session end-to-end: byte stream → [`StreamDecoder`] →
 //! per-channel streaming reconstructors → force samples.
 //!
-//! This is the unit of work a gateway worker runs per connection (TCP)
-//! or per peer (UDP); it is equally usable standalone (e.g. replaying a
-//! capture file).
+//! This is the unit of work a hub runs per session, whether its peer
+//! is a TCP connection or a UDP address; it is equally usable
+//! standalone (e.g. replaying a capture file).
 //!
 //! ## Memory model
 //!
@@ -186,7 +186,7 @@ impl SessionRx {
     ///
     /// Panics when `force_window` or `parked_bytes_cap` is `Some(0)`
     /// (use `None` for unbounded). The hubs reject such configs at bind
-    /// time instead, so the panic cannot reach a worker thread.
+    /// time instead, so the panic cannot reach a hub thread.
     pub fn new(config: SessionRxConfig) -> Self {
         assert!(
             config.force_window != Some(0),
@@ -236,9 +236,8 @@ impl SessionRx {
         self.decoder.session()
     }
 
-    /// `true` once the BYE frame was processed (the transport can close
-    /// the session without waiting for EOF — how the UDP hub retires
-    /// peers).
+    /// `true` once the BYE frame was processed (the books are closed, so
+    /// a hub never parks the session for resume).
     pub fn is_closed(&self) -> bool {
         self.decoder.is_closed()
     }
@@ -257,22 +256,18 @@ impl SessionRx {
         self.decoder.framing_garbage()
     }
 
-    /// Current flow-control snapshot (see [`StreamDecoder::feedback`]);
-    /// `None` before the HELLO. `pressure` is the hub's load level
-    /// (0 = idle … 255 = saturated), stamped in verbatim.
-    pub fn feedback(&self, pressure: u8) -> Option<crate::packet::FeedbackSummary> {
-        self.decoder.feedback(pressure)
-    }
-
     /// Produces a framed FEEDBACK report when one is due at `now`: the
     /// config's [`feedback_every`](SessionRxConfig::feedback_every)
     /// cadence has elapsed since the last report (the first call after
-    /// the HELLO is always due) and the session knows its nonce. Returns
-    /// the complete wire frame ready to write back to the sender; `None`
-    /// when feedback is disabled, the HELLO has not arrived, or the
-    /// cadence has not elapsed. The session never reads a clock itself:
-    /// the hubs pass the time of their current loop pass, once per
-    /// read/datagram — the cadence limiter makes that cheap.
+    /// the HELLO is always due) and the session knows its nonce. The
+    /// report is the decoder's [`feedback`](StreamDecoder::feedback)
+    /// snapshot with the hub's load level `pressure` (0 = idle … 255 =
+    /// saturated) stamped in verbatim. Returns the complete wire frame
+    /// ready to write back to the sender; `None` when feedback is
+    /// disabled, the HELLO has not arrived, or the cadence has not
+    /// elapsed. The session never reads a clock itself: the hubs pass
+    /// the time of each tick — the cadence limiter makes a call per
+    /// session per tick cheap.
     pub fn feedback_due(&mut self, pressure: u8, now: Instant) -> Option<Vec<u8>> {
         let every = self.config.feedback_every?;
         if let Some(last) = self.feedback_last {

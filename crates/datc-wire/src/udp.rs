@@ -25,24 +25,15 @@
 //!
 //! ## Sessions without connections
 //!
-//! UDP has no accept/EOF, so the [`UdpTelemetryHub`] keys in-flight
-//! sessions by peer address. A received BYE is held for a grace
-//! window ([`HubConfig::bye_grace`]) before it closes the books, so
-//! DATA datagrams reordered
-//! *behind* the BYE are still absorbed by the reorder buffer; the
-//! session then retires, and late stragglers of a retired session are
-//! dropped rather than resurrecting it as a ghost (a CRC-valid HELLO
-//! with a *different* header reopens the address — sensors
-//! legitimately reuse one socket for successive sessions). Hub
-//! shutdown drains the socket and finishes every in-flight peer, so
-//! every datagram received before the stop request is decoded and
-//! delivered exactly once. A peer whose BYE is lost is retired by the
-//! **idle-eviction clock** ([`HubConfig::idle_timeout`], default 30 s):
-//! once it has been silent that long its session lands in the table
-//! with the books left open — the in-flight table stays bounded even
-//! when sensors die mid-session. A later HELLO with a different header
-//! from the same address retires it immediately instead, opening the
-//! new session.
+//! UDP has no accept/EOF, so the [`UdpTelemetryHub`] keys sessions by
+//! peer address and runs the gateway's
+//! [session lifecycle](crate::gateway#session-lifecycle) on it: a
+//! session retires when its BYE's grace window ends, when it goes idle
+//! (a lost BYE, a dead sensor), or when a HELLO with another header
+//! takes the address over (sensors reuse one socket for successive
+//! sessions); its late stragglers are dropped, never resurrected as a
+//! ghost. Shutdown drains the socket, so every datagram received before
+//! the stop request is decoded and delivered exactly once.
 //!
 //! ## Known limits
 //!
@@ -66,23 +57,18 @@
 //!   decoded.
 
 use crate::flow::FlowSession;
-use crate::frame::{Frame, FrameType};
+use crate::frame::{parse_frame, FrameType, ParseOutcome};
 use crate::gateway::{
-    fleet_header, ClientReport, EndReason, Hub, HubConfig, LiveSession, RetryPolicy, Sender,
-    SenderCore, SessionTable, SinkFactory, Transport,
+    fleet_header, ClientReport, Hub, HubConfig, RetryPolicy, Sender, SenderCore, SessionTable,
+    SinkFactory, Transport, POLL,
 };
+use crate::hub::{Action, HubCore};
 use crate::packet::SessionHeader;
 use datc_engine::FleetOutput;
-use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Receive poll interval — also the post-stop drain quantum: after a
-/// stop request the receive loop keeps decoding until one full interval
-/// passes with the socket empty.
-const POLL: Duration = Duration::from_millis(2);
 
 /// Transport marker of [`UdpTelemetryHub`].
 #[derive(Debug)]
@@ -139,257 +125,39 @@ impl UdpTelemetryHub {
         let addr = socket.local_addr()?;
         socket.set_read_timeout(Some(POLL))?;
         Ok(Hub::spawn(addr, table, move |table, stop| {
-            receive_loop(socket, config, table, sink_factory, stop)
+            receive_loop(socket, HubCore::new(config, table, sink_factory), stop)
         }))
     }
 }
 
-/// Minimum lifetime of a straggler-filter entry (see `retired` in
-/// [`receive_loop`]): generous against any realistic reorder/duplicate
-/// delay, yet bounding the filter to the sessions retired in the last
-/// minute (or [`HubConfig::idle_timeout`], whichever is longer).
-const RETIRED_TTL: Duration = Duration::from_secs(60);
-
-/// One in-flight peer session.
-struct Peer {
-    session: LiveSession,
-    /// A received BYE datagram held until its grace deadline, so
-    /// session-tail datagrams reordered behind it are still absorbed.
-    pending_bye: Option<(Vec<u8>, Instant)>,
-    /// When this peer last delivered a datagram — the idle-eviction
-    /// clock.
-    last_activity: Instant,
-}
-
-impl Peer {
-    /// Retires the peer's session for `reason`, flushing a held BYE into
-    /// the decoder first (a held BYE is never dropped), and returns the
-    /// session header for the straggler filter.
-    fn retire(mut self, reason: EndReason, table: &SessionTable) -> Option<SessionHeader> {
-        if let Some((bye, _)) = self.pending_bye.take() {
-            // its bytes were counted when the datagram arrived
-            self.session.rx.push_bytes(&bye);
-        }
-        let header = self.session.rx.header().copied();
-        self.session.finish(reason, table);
-        header
-    }
-}
-
-fn receive_loop(
-    socket: UdpSocket,
-    config: HubConfig,
-    table: Arc<SessionTable>,
-    sink_factory: Option<SinkFactory>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut peers: HashMap<SocketAddr, Peer> = HashMap::new();
-    // Peers whose session was retired (BYE processed or idle-evicted),
-    // mapped to the retired session's header and retirement time. A
-    // DATA/BYE straggler duplicated or reordered past the grace window
-    // must be dropped, not allowed to resurrect the address as a ghost
-    // session; a CRC-valid HELLO carrying a *different* header is a
-    // genuinely new session (sensors legitimately reuse one socket)
-    // and un-retires the address — a duplicate of the finished
-    // session's own HELLO cannot, because its header matches. Entries
-    // are cleared on reuse and pruned on the idle scans once they
-    // outlive the straggler horizon, so the filter stays bounded on
-    // long-running hubs (stragglers arrive on the reorder timescale —
-    // well inside the horizon; an extreme late straggler past it would
-    // open a ghost peer, which the idle clock then evicts). With
-    // eviction disabled (`idle_timeout: None`) the filter keeps one
-    // entry per finished session — the same memory class as the
-    // session table itself.
-    let mut retired: HashMap<SocketAddr, (Option<SessionHeader>, Instant)> = HashMap::new();
+/// The UDP shell around the hub's [`HubCore`]: one receive loop feeding
+/// every datagram to the core and sending the FEEDBACK it answers with.
+fn receive_loop(socket: UdpSocket, mut core: HubCore<SocketAddr>, stop: Arc<AtomicBool>) {
     // One datagram = one frame ≤ HEADER + MAX_PAYLOAD + CRC bytes; a
     // 64 KiB buffer holds any datagram the socket can deliver (an
     // oversized/truncated one fails its CRC and is skipped).
     let mut buf = vec![0u8; 64 * 1024];
-    // Idle scans are rate-limited to a fraction of the timeout so a
-    // quiet hub doesn't walk the peer map on every 2 ms poll.
-    let idle_scan_every = config
-        .idle_timeout
-        .map(|t| (t / 4).clamp(POLL, Duration::from_secs(1)));
-    let mut next_idle_scan = idle_scan_every.map(|d| Instant::now() + d);
+    let mut actions = Vec::new();
     loop {
-        let received = socket.recv_from(&mut buf);
-        // One clock read per pass: activity stamps, BYE grace, feedback
-        // cadence and the idle scan below all run on this `now`.
-        let now = Instant::now();
-        match received {
-            Ok((n, from)) => {
-                let dgram = &buf[..n];
-                // Cheap frame-type peek (sync word + discriminant
-                // byte). Full CRC-validating parses run only where a
-                // probe is actually needed, so the steady-state DATA
-                // path costs exactly one parse — the decoder's own.
-                let peeked_type = (n > crate::frame::HEADER_LEN
-                    && dgram[..2] == crate::frame::SYNC)
-                    .then(|| dgram[2]);
-                let looks_hello = peeked_type == Some(FrameType::Hello.to_byte());
-                let looks_bye = peeked_type == Some(FrameType::Bye.to_byte());
-
-                if let Some((closed_header, _)) = retired.get(&from) {
-                    match looks_hello.then(|| hello_header(dgram)).flatten() {
-                        Some(h) if Some(h) != *closed_header => {
-                            retired.remove(&from); // same sensor, next session
-                        }
-                        _ => continue, // straggler of the closed session
-                    }
-                }
-                // A reused socket can open a new session at any time —
-                // while the previous one is in BYE grace, or still
-                // nominally in flight because its BYE was lost. A
-                // CRC-valid HELLO carrying a *different* header
-                // retires the old peer right now, so the new session
-                // gets a fresh decoder instead of being swallowed by
-                // the old one's. (A peer whose own HELLO never arrived
-                // has no header to compare: the first HELLO to reach
-                // it is adopted by its decoder, indistinguishable from
-                // reordered delivery — see "Known limits".)
-                let takeover = looks_hello
-                    && peers
-                        .get(&from)
-                        .and_then(|p| p.session.rx.header())
-                        .is_some_and(|old| hello_header(dgram).is_some_and(|h| h != *old));
-                if takeover {
-                    // no `retired` entry: the new HELLO takes over the
-                    // address immediately
-                    let old = peers.remove(&from).expect("takeover implies a peer");
-                    old.retire(EndReason::Closed, &table);
-                }
-                // Junk from an unknown address must not allocate
-                // decoder state (a SessionRx plus a factory-built
-                // sink): only a CRC-valid frame opens a peer. Any
-                // frame type qualifies — a session whose HELLO is
-                // reordered behind its first DATA still gets a peer,
-                // and the decoder books the orphans.
-                if !peers.contains_key(&from) {
-                    if valid_frame(dgram).is_none() {
-                        continue;
-                    }
-                    // Session cap: a valid frame from a *new* address
-                    // while the hub is at capacity is shed — dropped
-                    // and counted in [`HubHealth::shed`] — so overload
-                    // degrades into refused sessions instead of
-                    // unbounded decoder state. Known peers keep
-                    // flowing.
-                    if config.max_sessions.is_some_and(|cap| peers.len() >= cap) {
-                        table.note_shed();
-                        continue;
-                    }
-                }
-                let peer = peers.entry(from).or_insert_with(|| {
-                    let conn_id = table.next_conn_id();
-                    let sink = sink_factory.as_ref().map(|f| f(conn_id));
-                    Peer {
-                        session: LiveSession::open(&table, conn_id, &config.session, sink),
-                        pending_bye: None,
-                        last_activity: now,
-                    }
-                });
-                peer.last_activity = now;
-                let is_bye =
-                    looks_bye && valid_frame(dgram).is_some_and(|f| f.ftype == FrameType::Bye);
-                let over_budget = if is_bye {
-                    // Hold the BYE for the grace window; duplicates of
-                    // a held BYE are byte-identical and dropped.
-                    peer.session.bytes_received += n as u64;
-                    peer.pending_bye
-                        .get_or_insert_with(|| (dgram.to_vec(), now + config.bye_grace));
-                    false // a held BYE has not reached the decoder
-                } else {
-                    peer.session.ingest(dgram, config.malformed_budget)
-                };
-                // Malformed-frame budget: an address feeding the
-                // decoder garbage past its budget is quarantined —
-                // books closed as they stand, address retired into the
-                // straggler filter so the flood stops burning CRC
-                // scans on a live decoder. A later CRC-valid HELLO
-                // with a fresh header reopens the address as usual.
-                if over_budget {
-                    let peer = peers.remove(&from).expect("peer just updated");
-                    retired.insert(from, (peer.retire(EndReason::Quarantined, &table), now));
-                }
-            }
+        match socket.recv_from(&mut buf) {
+            Ok((n, from)) => core.on_bytes(from, &buf[..n], Instant::now()),
             // A full poll interval with an empty socket *after* the
             // stop request means the backlog is drained.
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
+            Err(_) if stop.load(Ordering::SeqCst) => break,
+            Err(_) => {}
         }
-        // One walk over the peers per pass. Receiver-driven flow
-        // control: write a FEEDBACK datagram back to every peer whose
-        // cadence came due, from the hub's own socket to the session's
-        // source address — best effort; a sender that never reads them
-        // just leaves a few tiny datagrams to its kernel buffer. And
-        // BYE grace: list the peers whose held BYE is due.
-        let pressure = table.pressure_level(config.max_sessions);
-        let mut bye_due: Vec<SocketAddr> = Vec::new();
-        for (addr, peer) in peers.iter_mut() {
-            if let Some(fb) = peer.session.rx.feedback_due(pressure, now) {
-                let _ = socket.send_to(&fb, addr);
-            }
-            if peer.pending_bye.as_ref().is_some_and(|&(_, at)| at <= now) {
-                bye_due.push(*addr);
-            }
-        }
-        // Retire peers whose BYE grace expired: close the books and
-        // remember the session header for the straggler filter.
-        for addr in bye_due {
-            let peer = peers.remove(&addr).expect("key just listed");
-            retired.insert(addr, (peer.retire(EndReason::Closed, &table), now));
-        }
-        // Idle-peer eviction: a peer silent past the timeout (its BYE
-        // lost, or the sensor dead) is retired exactly as hub shutdown
-        // would — decoded events delivered, session recorded with open
-        // books — so a lost BYE no longer pins the in-flight table
-        // forever. Like BYE retirement, the address joins the straggler
-        // filter: a late duplicate cannot resurrect the session, while
-        // a fresh HELLO reopens the address.
-        if let (Some(timeout), Some(at)) = (config.idle_timeout, next_idle_scan) {
-            if now >= at {
-                next_idle_scan = idle_scan_every.map(|d| now + d);
-                let idle: Vec<SocketAddr> = peers
-                    .iter()
-                    .filter(|(_, p)| now.duration_since(p.last_activity) >= timeout)
-                    .map(|(&addr, _)| addr)
-                    .collect();
-                for addr in idle {
-                    let peer = peers.remove(&addr).expect("key just listed");
-                    retired.insert(addr, (peer.retire(EndReason::Evicted, &table), now));
-                }
-                // Prune straggler-filter entries past the horizon so
-                // the filter stays bounded alongside the peer map.
-                let horizon = timeout.max(RETIRED_TTL);
-                retired.retain(|_, &mut (_, at)| now.duration_since(at) < horizon);
+        // Read after the datagram is ingested, so feedback cadence and
+        // BYE grace run on the newest time.
+        core.tick(Instant::now());
+        core.take_actions(&mut actions);
+        for action in actions.drain(..) {
+            // Best effort; an address has nothing to close.
+            if let Action::Send(peer, frame) = action {
+                let _ = socket.send_to(&frame, peer);
             }
         }
     }
-    // Drain-on-shutdown: flush held BYEs, then finish every in-flight
-    // peer — each decoded event reached its sink exactly once.
-    for (_, peer) in peers.drain() {
-        peer.retire(EndReason::Closed, &table);
-    }
-}
-
-/// The datagram as one CRC-valid frame of any type — the bar for
-/// allocating per-peer decoder state.
-fn valid_frame(datagram: &[u8]) -> Option<Frame<'_>> {
-    match crate::frame::parse_frame(datagram) {
-        crate::frame::ParseOutcome::Frame { frame, .. } => Some(frame),
-        _ => None,
-    }
-}
-
-/// The header of a datagram that is one CRC-valid HELLO frame — the
-/// only thing allowed to reopen a retired peer address.
-fn hello_header(datagram: &[u8]) -> Option<SessionHeader> {
-    valid_frame(datagram)
-        .filter(|f| f.ftype == FrameType::Hello)
-        .and_then(|f| SessionHeader::decode(f.payload))
+    core.shutdown(Instant::now());
 }
 
 /// Transmit pacing for [`UdpSessionSender`]: up to `burst` datagrams go
@@ -606,7 +374,7 @@ impl UdpTransport {
             let Some(flow) = self.flow.as_mut() else {
                 continue;
             };
-            if let Some(frame) = valid_frame(&buf[..n]) {
+            if let ParseOutcome::Frame { frame, .. } = parse_frame(&buf[..n]) {
                 if frame.ftype == FrameType::Feedback {
                     if let Some(fb) = crate::packet::FeedbackSummary::decode(frame.payload) {
                         let decision = flow.on_feedback(
@@ -861,253 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn datagram_behind_the_bye_cannot_resurrect_a_retired_session() {
-        // A duplicated (or reordered) DATA datagram arriving after its
-        // session's BYE was processed must be dropped, not create a
-        // ghost session under a fresh conn id.
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
-        let header = SessionHeader::new(55, 1, 2000.0, 1.0);
-        let events = test_events(&header, 30);
-
-        let mut packetizer = Packetizer::new(header);
-        let hello = packetizer.hello();
-        let data = packetizer.data_frames(&events);
-        let bye = packetizer.bye();
-
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        socket.send(&hello).unwrap();
-        for f in &data {
-            socket.send(f).unwrap();
-        }
-        socket.send(&bye).unwrap();
-        // wait for BYE-triggered retirement…
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // …then replay stragglers from the same source address
-        socket.send(&data[0]).unwrap();
-        socket.send(&bye).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(
-            hub.session_count(),
-            1,
-            "stragglers must not resurrect the session"
-        );
-
-        // A fresh HELLO from the same socket, however, IS a new
-        // session: sensors legitimately reuse one socket.
-        let header_b = SessionHeader::new(56, 1, 2000.0, 1.0);
-        let mut tx_b = Packetizer::new(header_b);
-        socket.send(&tx_b.hello()).unwrap();
-        for f in tx_b.data_frames(&test_events(&header_b, 10)) {
-            socket.send(&f).unwrap();
-        }
-        socket.send(&tx_b.bye()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 2, "one retired + one reused-socket session");
-        assert_eq!(sessions[0].session_id, 55);
-        assert_eq!(sessions[0].report.stats.events_decoded, 30);
-        assert_eq!(sessions[0].report.stats.events_lost, 0);
-        assert_eq!(sessions[1].session_id, 56);
-        assert_eq!(sessions[1].report.stats.events_decoded, 10);
-    }
-
-    #[test]
-    fn data_reordered_behind_the_bye_is_absorbed_by_the_grace_window() {
-        // The classic session-tail reorder: [.., D1, BYE, D2]. The BYE
-        // is held for `HubConfig::bye_grace`, so D2 still reaches the
-        // reorder buffer and the books close with zero loss.
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
-        let header = SessionHeader::new(60, 1, 2000.0, 1.0);
-        let events = test_events(&header, 20);
-        let mut tx = Packetizer::new(header).with_events_per_frame(10);
-        let hello = tx.hello();
-        let data = tx.data_frames(&events);
-        let bye = tx.bye();
-        assert_eq!(data.len(), 2);
-
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        socket.send(&hello).unwrap();
-        socket.send(&data[0]).unwrap();
-        socket.send(&bye).unwrap(); // BYE overtakes the last DATA
-        socket.send(&data[1]).unwrap();
-
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 1);
-        assert_eq!(sessions[0].report.stats.events_decoded, 20, "D2 absorbed");
-        assert_eq!(sessions[0].report.stats.events_lost, 0);
-        assert!(sessions[0].report.stats.closed);
-    }
-
-    #[test]
-    fn new_session_hello_during_the_old_byes_grace_window_is_not_swallowed() {
-        // Socket reuse, back to back: session B's HELLO lands while
-        // session A's BYE is still held in grace. A must retire at
-        // once and B must get a fresh decoder.
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-
-        for (id, n) in [(70u32, 25u64), (71, 15)] {
-            let header = SessionHeader::new(id, 1, 2000.0, 1.0);
-            let mut tx = Packetizer::new(header);
-            socket.send(&tx.hello()).unwrap();
-            for f in tx.data_frames(&test_events(&header, n)) {
-                socket.send(&f).unwrap();
-            }
-            socket.send(&tx.bye()).unwrap();
-            // no pause: session 71 starts well inside 70's grace
-        }
-
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 2, "both back-to-back sessions land");
-        assert_eq!(sessions[0].session_id, 70);
-        assert_eq!(sessions[0].report.stats.events_decoded, 25);
-        assert_eq!(sessions[0].report.stats.events_lost, 0);
-        assert_eq!(sessions[1].session_id, 71);
-        assert_eq!(sessions[1].report.stats.events_decoded, 15);
-        assert_eq!(sessions[1].report.stats.events_lost, 0);
-        assert!(sessions[1].report.stats.closed);
-    }
-
-    #[test]
-    fn reused_socket_after_a_lost_bye_starts_a_fresh_session() {
-        // Session A's BYE is lost; the sensor reuses the socket for
-        // session B. B's HELLO (different header) must retire A and
-        // open a fresh decoder — not be swallowed by A's.
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-
-        let header_a = SessionHeader::new(80, 1, 2000.0, 1.0);
-        let mut tx_a = Packetizer::new(header_a);
-        socket.send(&tx_a.hello()).unwrap();
-        for f in tx_a.data_frames(&test_events(&header_a, 20)) {
-            socket.send(&f).unwrap();
-        }
-        // A's BYE is lost on air.
-
-        let header_b = SessionHeader::new(81, 1, 2000.0, 1.0);
-        let mut tx_b = Packetizer::new(header_b);
-        socket.send(&tx_b.hello()).unwrap();
-        for f in tx_b.data_frames(&test_events(&header_b, 10)) {
-            socket.send(&f).unwrap();
-        }
-        socket.send(&tx_b.bye()).unwrap();
-
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 2, "A retired by takeover, B landed");
-        assert_eq!(sessions[0].session_id, 80);
-        assert_eq!(sessions[0].report.stats.events_decoded, 20);
-        assert!(!sessions[0].report.stats.closed, "A's BYE was lost");
-        assert_eq!(sessions[1].session_id, 81);
-        assert_eq!(sessions[1].report.stats.events_decoded, 10);
-        assert_eq!(sessions[1].report.stats.events_lost, 0);
-        assert!(sessions[1].report.stats.closed);
-    }
-
-    #[test]
-    fn session_tail_reordered_past_the_next_hello_is_foreign_not_misattributed() {
-        // The corner the DATA-V2 nonce closes: session A's last DATA
-        // datagram is reordered past session B's HELLO on the same
-        // reused address. Without the nonce it would park in B's
-        // reorder buffer as a far-future hole and be declared lost at
-        // close; with it, B counts one foreign frame and its books
-        // close with zero loss and zero gaps.
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-
-        let header_a = SessionHeader::new(90, 1, 2000.0, 1.0);
-        let mut tx_a = Packetizer::new(header_a).with_events_per_frame(10);
-        let data_a = tx_a.data_frames(&test_events(&header_a, 20));
-        assert_eq!(data_a.len(), 2);
-        socket.send(&tx_a.hello()).unwrap();
-        socket.send(&data_a[0]).unwrap();
-        // data_a[1] is still in flight; A's BYE is lost on air.
-
-        let header_b = SessionHeader::new(91, 1, 2000.0, 1.0);
-        let mut tx_b = Packetizer::new(header_b);
-        socket.send(&tx_b.hello()).unwrap(); // takeover retires A
-        socket.send(&data_a[1]).unwrap(); // A's tail lands in B's decoder
-        for f in tx_b.data_frames(&test_events(&header_b, 10)) {
-            socket.send(&f).unwrap();
-        }
-        socket.send(&tx_b.bye()).unwrap();
-
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 2);
-        assert_eq!(sessions[0].session_id, 90);
-        assert_eq!(sessions[0].report.stats.events_decoded, 10);
-        assert!(!sessions[0].report.stats.closed);
-        let b = &sessions[1].report.stats;
-        assert_eq!(sessions[1].session_id, 91);
-        assert_eq!(b.events_decoded, 10);
-        assert_eq!(b.foreign_frames, 1, "A's straggler dropped as foreign");
-        assert_eq!(b.events_lost, 0, "no phantom far-future hole");
-        assert_eq!(b.gaps, 0);
-        assert!(b.closed);
-    }
-
-    #[test]
-    fn junk_datagrams_do_not_allocate_peer_state() {
-        let made = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let factory: SinkFactory = {
-            let made = made.clone();
-            Arc::new(move |_conn| {
-                made.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                struct Null;
-                impl crate::sink::SessionSink for Null {}
-                Box::new(Null)
-            })
-        };
-        let hub = UdpTelemetryHub::bind_with(
-            "127.0.0.1:0",
-            HubConfig::default(),
-            crate::gateway::SessionTable::shared(),
-            Some(factory),
-        )
-        .unwrap();
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        for i in 0..20u8 {
-            socket.send(&[i, 0xFF, i ^ 0x55, 0x00, i]).unwrap(); // garbage
-        }
-        std::thread::sleep(Duration::from_millis(30));
-        let sessions = hub.shutdown();
-        assert!(sessions.is_empty(), "no ghost sessions from junk");
-        assert_eq!(
-            made.load(std::sync::atomic::Ordering::SeqCst),
-            0,
-            "no sink was ever built"
-        );
-    }
-
-    #[test]
     fn configs_that_would_panic_in_the_receive_thread_are_rejected_at_bind() {
         use crate::session::SessionRxConfig;
         use datc_rx::online::OnlineReconSelect;
@@ -1354,108 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_peer_is_evicted_without_shutdown() {
-        // A peer whose BYE was lost must not pin the in-flight table
-        // forever: the idle clock retires it, books open, and a late
-        // straggler cannot resurrect it — but a fresh HELLO can reopen
-        // the address for the sensor's next session.
-        let config = HubConfig {
-            idle_timeout: Some(Duration::from_millis(60)),
-            ..HubConfig::default()
-        };
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", config).unwrap();
-        let header = SessionHeader::new(90, 1, 2000.0, 1.0);
-        let events = test_events(&header, 25);
-        let mut tx = Packetizer::new(header);
-        let hello = tx.hello();
-        let data = tx.data_frames(&events);
-        let _lost_bye = tx.bye();
-
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        socket.send(&hello).unwrap();
-        for f in &data {
-            socket.send(f).unwrap();
-        }
-        // no BYE: only the idle clock can retire this peer
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(hub.session_count(), 1, "idle eviction landed the session");
-
-        // a straggler of the evicted session is dropped, not resurrected
-        socket.send(&data[0]).unwrap();
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(hub.session_count(), 1);
-
-        // the sensor's next session reopens the address
-        let header_b = SessionHeader::new(91, 1, 2000.0, 1.0);
-        let mut tx_b = Packetizer::new(header_b);
-        socket.send(&tx_b.hello()).unwrap();
-        for f in tx_b.data_frames(&test_events(&header_b, 10)) {
-            socket.send(&f).unwrap();
-        }
-        socket.send(&tx_b.bye()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 2);
-        assert_eq!(sessions[0].session_id, 90);
-        assert_eq!(sessions[0].report.stats.events_decoded, 25);
-        assert!(
-            !sessions[0].report.stats.closed,
-            "evicted with open books (no BYE)"
-        );
-        assert_eq!(sessions[1].session_id, 91);
-        assert_eq!(sessions[1].report.stats.events_decoded, 10);
-        assert!(sessions[1].report.stats.closed);
-    }
-
-    #[test]
-    fn active_peer_outlives_the_idle_timeout() {
-        // Activity resets the clock: a slow-but-alive sender whose
-        // session spans many timeouts is not evicted mid-session.
-        let config = HubConfig {
-            idle_timeout: Some(Duration::from_millis(150)),
-            ..HubConfig::default()
-        };
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", config).unwrap();
-        let header = SessionHeader::new(95, 1, 2000.0, 1.0);
-        let events = test_events(&header, 40);
-        let mut tx = Packetizer::new(header).with_events_per_frame(5);
-        let hello = tx.hello();
-        let data = tx.data_frames(&events);
-        let bye = tx.bye();
-        assert_eq!(data.len(), 8);
-
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        socket.send(&hello).unwrap();
-        for f in &data {
-            // each gap is well under the timeout (3× margin against CI
-            // scheduler stalls); the whole session spans multiple
-            // timeouts
-            std::thread::sleep(Duration::from_millis(50));
-            socket.send(f).unwrap();
-        }
-        socket.send(&bye).unwrap();
-
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 1, "one session, never split by eviction");
-        assert_eq!(sessions[0].report.stats.events_decoded, 40);
-        assert_eq!(sessions[0].report.stats.events_lost, 0);
-        assert!(sessions[0].report.stats.closed);
-    }
-
-    #[test]
     fn zero_idle_timeout_rejected_at_bind() {
         let bad = HubConfig {
             idle_timeout: Some(Duration::ZERO),
@@ -1466,108 +885,5 @@ mod tests {
             err.err().map(|e| e.kind()),
             Some(std::io::ErrorKind::InvalidInput)
         );
-    }
-
-    #[test]
-    fn lost_bye_session_is_flushed_at_shutdown() {
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", HubConfig::default()).unwrap();
-        let header = SessionHeader::new(77, 1, 2000.0, 1.0);
-        let events = test_events(&header, 40);
-        let mut tx = UdpSessionSender::connect(hub.local_addr(), header).unwrap();
-        tx.send_events(&events).unwrap();
-        drop(tx); // never send the BYE
-        std::thread::sleep(Duration::from_millis(50));
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 1, "in-flight peer flushed at shutdown");
-        assert_eq!(sessions[0].report.stats.events_decoded, 40);
-        assert!(!sessions[0].report.stats.closed, "no BYE, books stay open");
-    }
-
-    #[test]
-    fn udp_session_cap_sheds_unknown_peers_but_keeps_known_ones_flowing() {
-        let config = HubConfig {
-            max_sessions: Some(1),
-            ..HubConfig::default()
-        };
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", config).unwrap();
-        let header_a = SessionHeader::new(1, 1, 2000.0, 1.0);
-        let events = test_events(&header_a, 60);
-        let mut tx_a = UdpSessionSender::connect(hub.local_addr(), header_a).unwrap();
-        tx_a.send_events(&events[..30]).unwrap();
-        // Give the hub time to open peer A before B knocks — UDP has
-        // no handshake, so ordering is only by arrival.
-        std::thread::sleep(Duration::from_millis(30));
-
-        // Peer B is valid traffic, but the hub is full: shed.
-        let header_b = SessionHeader::new(2, 1, 2000.0, 1.0);
-        let mut tx_b = UdpSessionSender::connect(hub.local_addr(), header_b).unwrap();
-        tx_b.send_events(&test_events(&header_b, 20)).unwrap();
-        let _ = tx_b.finish().unwrap();
-
-        // Peer A (known) still flows to a clean close.
-        tx_a.send_events(&events[30..]).unwrap();
-        let _ = tx_a.finish().unwrap();
-
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let health = hub.health();
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 1, "only peer A got a session");
-        assert_eq!(sessions[0].session_id, 1);
-        assert_eq!(sessions[0].report.stats.events_decoded, 60);
-        assert!(sessions[0].report.stats.closed);
-        // shed is registry-backed: zeros with metrics off, while the
-        // one-session shutdown above proves the shedding itself.
-        if cfg!(feature = "metrics") {
-            assert!(
-                health.shed >= 1,
-                "peer B's datagrams counted as shed, got {health:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn udp_garbage_flood_is_quarantined() {
-        let config = HubConfig {
-            malformed_budget: Some(4),
-            ..HubConfig::default()
-        };
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", config).unwrap();
-        let header = SessionHeader::new(6, 1, 2000.0, 1.0);
-        let mut packetizer = Packetizer::new(header);
-        let socket = UdpSocket::bind("0.0.0.0:0").unwrap();
-        socket.connect(hub.local_addr()).unwrap();
-        socket.send(&packetizer.hello()).unwrap();
-        // CRC-broken frames from a peer that already holds decoder
-        // state: each one burns budget until the peer is quarantined.
-        let mut bad = crate::frame::encode_frame(crate::frame::FrameType::DataV2, 1, &[0u8; 16]);
-        *bad.last_mut().unwrap() ^= 0xFF;
-        for _ in 0..64 {
-            socket.send(&bad).unwrap();
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        // The quarantined peer's books land in the session count — a
-        // real collection, so this synchronizes with or without the
-        // registry-backed health counters.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while hub.session_count() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        if cfg!(feature = "metrics") {
-            assert_eq!(hub.health().quarantined, 1, "flooding peer quarantined");
-        }
-        // Post-quarantine garbage is filtered as straggler traffic and
-        // must not resurrect the address.
-        for _ in 0..8 {
-            socket.send(&bad).unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(30));
-        let sessions = hub.shutdown();
-        assert_eq!(sessions.len(), 1, "books closed once, no ghost revival");
-        // Resync bytes also burn budget, so quarantine can trip right
-        // at the CRC-failure budget line rather than past it.
-        assert!(sessions[0].report.stats.crc_failures >= 4);
     }
 }

@@ -138,8 +138,8 @@
 //! Fleet outputs don't have to stay in-process: [`wire::stream_fleet`]
 //! packetises the merged AER stream (sync word, CRC, delta-tick varint
 //! events) and pushes it through a TCP session into a
-//! [`wire::TelemetryHub`], whose workers decode incrementally and run
-//! streaming per-channel force reconstruction:
+//! [`wire::TelemetryHub`], whose connection readers decode
+//! incrementally and run streaming per-channel force reconstruction:
 //!
 //! ```
 //! use datc::core::{DatcConfig, TraceLevel};
