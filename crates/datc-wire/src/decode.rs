@@ -25,8 +25,10 @@
 //! turning the receiver's tallies into exact per-channel loss figures.
 
 use crate::batch::EventBatch;
-use crate::frame::{parse_frame, FrameType, ParseOutcome};
-use crate::packet::{decode_data_into_with, ByeSummary, FeedbackSummary, SessionHeader};
+use crate::frame::{parse_frame, FrameType, ParseOutcome, SYNC};
+use crate::packet::{
+    decode_data_into_with, ByeSummary, FeedbackSummary, SessionHeader, MAX_FEEDBACK_HOLES,
+};
 use crate::varint::VarintPolicy;
 use datc_uwb::aer::AddressedEvent;
 use std::collections::BTreeMap;
@@ -412,17 +414,38 @@ impl StreamDecoder {
         self.next_index
     }
 
+    /// `true` when a BYE announcing `total_events` finds nothing left to
+    /// wait for: the HELLO arrived, every event below `total_events` was
+    /// released or booked as lost, and nothing is parked.
+    pub(crate) fn is_complete(&self, total_events: u64) -> bool {
+        self.session.is_some() && self.pending.is_empty() && self.next_index >= total_events
+    }
+
     /// Snapshots this decoder's books as a flow-control report, ready
     /// to frame as FEEDBACK. `pressure` is the hub-supplied load level
-    /// (0 for a standalone receiver). `None` before the HELLO arrives —
-    /// there is no session (or nonce) to report on yet.
+    /// (0 for a standalone receiver). The holes are read off the reorder
+    /// buffer, up to [`MAX_FEEDBACK_HOLES`]. `None` before the HELLO
+    /// arrives — there is no session (or nonce) to report on yet.
     pub fn feedback(&self, pressure: u8) -> Option<FeedbackSummary> {
+        let nonce = self.nonce?;
+        let mut holes = Vec::new();
+        let mut end = self.next_index;
+        for (&first, parked) in &self.pending {
+            if first > end {
+                if holes.len() == MAX_FEEDBACK_HOLES {
+                    break;
+                }
+                holes.push(end..first);
+            }
+            end = end.max(first + parked.batch.len() as u64);
+        }
         Some(FeedbackSummary {
-            nonce: self.nonce?,
+            nonce,
             next_index: self.next_index,
             events_lost: self.events_lost,
             reorder_depth: self.pending_events,
             pressure,
+            holes,
         })
     }
 
@@ -432,6 +455,18 @@ impl StreamDecoder {
     pub fn push_bytes(&mut self, bytes: &[u8]) -> usize {
         let before = self.out.len();
         self.buf.extend_from_slice(bytes);
+        self.parse_buffered();
+        // Compact the receive buffer once the dead prefix grows.
+        if self.consumed > 8192 {
+            self.buf.drain(..self.consumed);
+            self.consumed = 0;
+        }
+        self.out.len() - before
+    }
+
+    /// Parses every complete frame buffered past `consumed`, stopping at
+    /// a partial one.
+    fn parse_buffered(&mut self) {
         loop {
             match parse_frame(&self.buf[self.consumed..]) {
                 ParseOutcome::NeedMore => break,
@@ -463,12 +498,6 @@ impl StreamDecoder {
                 }
             }
         }
-        // Compact the receive buffer once the dead prefix grows.
-        if self.consumed > 8192 {
-            self.buf.drain(..self.consumed);
-            self.consumed = 0;
-        }
-        self.out.len() - before
     }
 
     /// Moves all released events (time-ordered) into `out` in
@@ -492,10 +521,27 @@ impl StreamDecoder {
         self.out.clear();
     }
 
-    /// Closes the stream at transport EOF: flushes the reorder buffer
-    /// (declaring the remaining holes lost) and, when a BYE was seen,
-    /// reconciles against the transmitter's totals.
+    /// Closes the stream at transport EOF: rescans a partial frame that
+    /// can no longer complete, flushes the reorder buffer (declaring the
+    /// remaining holes lost) and, when a BYE was seen, reconciles
+    /// against the transmitter's totals.
     pub fn finish(&mut self) {
+        // A frame truncated within its declared length of the end waits
+        // for bytes that never come, and the frames inside that length
+        // (a BYE) with it. Skip its sync word and parse on; the skipped
+        // bytes are resync.
+        while self.consumed < self.buf.len() {
+            let skip = SYNC.len().min(self.buf.len() - self.consumed);
+            self.consumed += skip;
+            self.resync_bytes += skip as u64;
+            self.parse_buffered();
+        }
+        self.close_books();
+    }
+
+    /// Flushes the reorder buffer and, when a BYE was seen, books the
+    /// tail loss.
+    fn close_books(&mut self) {
         while !self.pending.is_empty() {
             self.pop_parked(true);
         }
@@ -733,7 +779,7 @@ impl StreamDecoder {
         }
         self.bye = Some(bye);
         self.closed = true;
-        self.finish();
+        self.close_books();
     }
 
     fn flush_pending(&mut self) {
@@ -947,7 +993,78 @@ mod tests {
         assert_eq!(fb.events_lost, 0);
         assert_eq!(fb.reorder_depth, 10);
         assert_eq!(fb.pressure, 7);
+        assert_eq!(fb.holes.len(), 1);
+        assert_eq!(fb.holes[0], 10..20);
         assert_eq!(rx.next_index(), 10);
+    }
+
+    #[test]
+    fn feedback_lists_the_reorder_holes_in_order_up_to_the_cap() {
+        let (_, frames, _) = session_frames(10 * 60, 10);
+        let data = &frames[1..frames.len() - 1];
+        let mut rx = StreamDecoder::with_reorder_window(64);
+        rx.push_bytes(&frames[0]); // hello
+                                   // frames 0, 2, 3, 5 missing; 1 and 4 parked
+        rx.push_bytes(&data[4]);
+        rx.push_bytes(&data[1]);
+        let fb = rx.feedback(0).expect("session decoded");
+        assert_eq!((fb.next_index, fb.reorder_depth), (0, 20));
+        assert_eq!(fb.holes, vec![0..10, 20..40]);
+        assert!(!rx.is_complete(50));
+
+        // every other frame of the rest parks: one hole per frame
+        // missing, but a report lists only the first MAX_FEEDBACK_HOLES
+        for f in data[6..].iter().step_by(2) {
+            rx.push_bytes(f);
+        }
+        let fb = rx.feedback(0).expect("session decoded");
+        let mut expected = vec![0..10, 20..40, 50..60];
+        let more = (0..).map(|k| 70 + 20 * k..80 + 20 * k);
+        expected.extend(more.take(MAX_FEEDBACK_HOLES - expected.len()));
+        assert_eq!(fb.holes, expected);
+        assert_eq!(FeedbackSummary::decode(&fb.encode()), Some(fb));
+    }
+
+    #[test]
+    fn is_complete_once_every_announced_event_is_released_and_nothing_parks() {
+        let (_, frames, _) = session_frames(30, 10);
+        let mut rx = StreamDecoder::new();
+        assert!(!rx.is_complete(0), "no HELLO yet");
+        rx.push_bytes(&frames[0]);
+        rx.push_bytes(&frames[1]);
+        rx.push_bytes(&frames[3]);
+        assert!(!rx.is_complete(10), "events 20..30 still parked");
+        rx.push_bytes(&frames[2]);
+        assert!(rx.is_complete(30) && !rx.is_complete(31));
+    }
+
+    #[test]
+    fn a_frame_truncated_into_the_bye_is_rescanned_at_end_of_stream() {
+        // The last DATA frame lost its tail: its declared length reaches
+        // past the BYE behind it, so the BYE waits inside the partial
+        // frame until end of stream rescans it.
+        let (_, frames, events) = session_frames(30, 10);
+        let n = frames.len();
+        let truncated = &frames[n - 2][..crate::frame::HEADER_LEN + 3];
+        assert!(truncated.len() + frames[n - 1].len() < frames[n - 2].len());
+        let mut rx = StreamDecoder::new();
+        for f in &frames[..n - 2] {
+            rx.push_bytes(f);
+        }
+        rx.push_bytes(truncated);
+        rx.push_bytes(&frames[n - 1]); // the BYE
+        assert!(!rx.is_closed(), "the BYE sits inside the declared length");
+        let resync_before = rx.stats().resync_bytes;
+        rx.finish();
+        let s = rx.stats();
+        assert!(s.closed, "the rescan found the BYE");
+        assert_eq!((s.events_decoded, s.events_lost), (20, 10));
+        assert_eq!(
+            s.resync_bytes - resync_before,
+            truncated.len() as u64,
+            "the partial frame's bytes count as resync"
+        );
+        assert_eq!(decoded(&mut rx), events[..20].to_vec());
     }
 
     #[test]

@@ -17,17 +17,22 @@
 //!   and mapped onto [`UdpPacing`] burst scheduling.
 //! * [`ReplayBuffer`] — a bounded byte-budgeted window of recently
 //!   sent DATA frames, keyed by their cumulative event-index span.
-//!   When feedback reports a hole that is still inside the window
-//!   (`reorder_depth > 0` pins the hole at `next_index`), the original
-//!   frame is retransmitted **byte-identical** — the receiver's
-//!   existing duplicate/overlap dedup keeps the books exact no matter
-//!   how often a span arrives.
+//!   When feedback lists a hole that is still inside the window (a
+//!   report names every missing span up to the end of the receiver's
+//!   parked data, [`FeedbackSummary::holes`]), the original frames are
+//!   retransmitted **byte-identical** — the receiver's existing
+//!   duplicate/overlap dedup keeps the books exact no matter how often
+//!   a span arrives.
 //! * [`FlowSession`] — the per-session state machine senders embed:
 //!   it filters foreign-nonce feedback, runs the AIMD step, decides
-//!   repairs (with a cursor + stall detector so one hole is normally
-//!   repaired once, and re-repaired only when the receiver's release
-//!   cursor visibly stalls on it), and tallies
+//!   repairs (every frame overlapping a listed hole is resent once, and
+//!   again only when the receiver's release cursor visibly stalls on
+//!   it; while draining, the unconfirmed tail too), and tallies
 //!   [`ClientReport::repairs`](crate::gateway::ClientReport::repairs).
+//!
+//! One report therefore repairs every hole it lists, so a lossy
+//! session closes in about one feedback round trip instead of one
+//! round per lost frame.
 //!
 //! Retransmissions are *not* re-subjected to a sender's
 //! [`ChaosLink`](crate::chaos::ChaosLink): the chaos fate schedule is
@@ -39,6 +44,7 @@
 use crate::packet::FeedbackSummary;
 use crate::udp::UdpPacing;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::Duration;
 
 /// AIMD rate-controller parameters. Validated by
@@ -119,6 +125,7 @@ impl AimdConfig {
 /// let mut aimd = AimdController::new(AimdConfig::default());
 /// let clean = FeedbackSummary {
 ///     nonce: 0, next_index: 100, events_lost: 0, reorder_depth: 0, pressure: 0,
+///     holes: Vec::new(),
 /// };
 /// let before = aimd.rate_datagrams_per_s();
 /// aimd.observe(&clean); // clean: rate already at ceiling, stays there
@@ -218,6 +225,15 @@ pub struct ReplayEntry {
     /// byte-identical frames is what lets the receiver's dedup keep
     /// the books exact.
     pub frame: Vec<u8>,
+    /// Whether the frame was retransmitted already.
+    repaired: bool,
+}
+
+impl ReplayEntry {
+    /// One past the cumulative index of the frame's last event.
+    fn end(&self) -> u64 {
+        self.first_index + self.n_events
+    }
 }
 
 /// Bounded byte-budgeted window of recently sent DATA frames, oldest
@@ -257,13 +273,19 @@ impl ReplayBuffer {
     }
 
     /// Records one sent DATA frame, evicting the oldest entries until
-    /// the buffer fits its budget again.
+    /// the buffer fits its budget again. Frames arrive in send order,
+    /// so `first_index` only increases.
     pub fn record(&mut self, first_index: u64, n_events: u64, frame: &[u8]) {
+        debug_assert!(
+            self.entries.back().is_none_or(|e| e.end() <= first_index),
+            "replay spans must arrive in index order"
+        );
         self.bytes += frame.len();
         self.entries.push_back(ReplayEntry {
             first_index,
             n_events,
             frame: frame.to_vec(),
+            repaired: false,
         });
         while self.bytes > self.cap_bytes {
             let old = self.entries.pop_front().expect("bytes > 0 implies entries");
@@ -271,12 +293,26 @@ impl ReplayBuffer {
         }
     }
 
+    /// Position of the first entry whose span ends past `index` — a
+    /// binary search, since spans are held in index order.
+    fn first_ending_after(&self, index: u64) -> usize {
+        self.entries.partition_point(|e| e.end() <= index)
+    }
+
     /// The entry whose event span covers `index`, when still in the
     /// window.
     pub fn covering(&self, index: u64) -> Option<&ReplayEntry> {
+        let entry = self.entries.get(self.first_ending_after(index))?;
+        (entry.first_index <= index).then_some(entry)
+    }
+
+    /// The entries whose event spans overlap `span`, oldest first (none
+    /// when `span` is empty).
+    fn overlapping(&mut self, span: Range<u64>) -> impl Iterator<Item = &mut ReplayEntry> {
+        let from = self.first_ending_after(span.start);
         self.entries
-            .iter()
-            .find(|e| e.first_index <= index && index < e.first_index + e.n_events)
+            .range_mut(from..)
+            .take_while(move |e| !span.is_empty() && e.first_index < span.end)
     }
 
     /// Frames currently held.
@@ -340,8 +376,8 @@ pub struct FlowDecision {
     pub repairs: Vec<Vec<u8>>,
 }
 
-/// Per-session sender flow state: AIMD + replay window + repair
-/// cursor. Embedded by
+/// Per-session sender flow state: AIMD + replay window + stall
+/// clock. Embedded by
 /// [`UdpSessionSender::with_flow`](crate::udp::UdpSessionSender::with_flow).
 #[derive(Debug, Clone)]
 pub struct FlowSession {
@@ -353,11 +389,9 @@ pub struct FlowSession {
     foreign_feedback: u64,
     repairs_frames: u64,
     repairs_events: u64,
-    /// Everything below this index has already been repaired once.
-    repaired_to: u64,
-    /// The hole the previous feedback reported, for stall detection: a
-    /// hole reported twice in a row means the first repair was lost
-    /// and is worth re-sending even below `repaired_to`.
+    /// The hole at the release cursor the previous feedback reported
+    /// without a resend, for stall detection: a hole reported twice in
+    /// a row means its repair was lost and is worth re-sending.
     last_hole: Option<u64>,
 }
 
@@ -380,7 +414,6 @@ impl FlowSession {
             foreign_feedback: 0,
             repairs_frames: 0,
             repairs_events: 0,
-            repaired_to: 0,
             last_hole: None,
         }
     }
@@ -429,10 +462,15 @@ impl FlowSession {
 
     /// Processes one feedback report. `nonce` is this session's — a
     /// report carrying any other nonce is counted and ignored.
-    /// `events_sent` is the packetizer's cumulative count; during the
-    /// close-of-session `drain` the release cursor falling short of it
-    /// marks a tail hole even with an empty reorder buffer (nothing
-    /// behind the hole to park).
+    ///
+    /// Every replayed frame overlapping a listed hole is resent once; a
+    /// frame at the release cursor is resent again when the cursor
+    /// stalls on it (the same hole in two reports in a row with no
+    /// resend in between). `events_sent` is the packetizer's cumulative
+    /// count: during the close-of-session `drain` the frames past the
+    /// end of the receiver's parked data (`next_index` plus the listed
+    /// holes plus `reorder_depth`) up to `events_sent` are resent too,
+    /// since nothing parks behind a lost tail to make it a hole.
     pub fn on_feedback(
         &mut self,
         fb: FeedbackSummary,
@@ -448,32 +486,39 @@ impl FlowSession {
             };
         }
         self.feedback_rx += 1;
-        self.last_feedback = Some(fb);
         let pacing = self.aimd.observe(&fb);
+        let cursor = fb.next_index;
+        let stalled = self.last_hole == Some(cursor);
+        let tail = drain.then(|| {
+            let listed = fb
+                .holes
+                .iter()
+                .fold(0u64, |n, h| n.saturating_add(h.end.saturating_sub(h.start)));
+            cursor
+                .saturating_add(listed)
+                .saturating_add(fb.reorder_depth)..events_sent
+        });
         let mut repairs = Vec::new();
-        // A hole is *confirmed* at `next_index` when the receiver has
-        // later data parked behind it, or — while draining — when the
-        // cursor sits short of everything sent.
-        let hole = fb.reorder_depth > 0 || (drain && fb.next_index < events_sent);
-        if hole {
-            let stalled = self.last_hole == Some(fb.next_index);
-            if fb.next_index >= self.repaired_to || stalled {
-                if let Some(entry) = self.replay.covering(fb.next_index) {
-                    repairs.push(entry.frame.clone());
-                    self.repairs_frames += 1;
-                    self.repairs_events += entry.n_events;
-                    self.repaired_to = entry.first_index + entry.n_events;
+        let mut resent_cursor = false;
+        for span in fb.holes.iter().cloned().chain(tail) {
+            for entry in self.replay.overlapping(span) {
+                let at_cursor = entry.first_index <= cursor && cursor < entry.end();
+                if entry.repaired && !(stalled && at_cursor) {
+                    continue;
                 }
-                // Restart the stall clock: the resend needs a full
-                // report cycle to land before this hole persisting
-                // counts as a stall again.
-                self.last_hole = None;
-            } else {
-                self.last_hole = Some(fb.next_index);
+                entry.repaired = true;
+                repairs.push(entry.frame.clone());
+                self.repairs_frames += 1;
+                self.repairs_events += entry.n_events;
+                resent_cursor |= at_cursor;
             }
-        } else {
-            self.last_hole = None;
         }
+        // A resend restarts the stall clock: it needs a full report
+        // cycle to land before the hole persisting counts as a stall.
+        let cursor_hole =
+            fb.holes.first().is_some_and(|h| h.start == cursor) || (drain && cursor < events_sent);
+        self.last_hole = (cursor_hole && !resent_cursor).then_some(cursor);
+        self.last_feedback = Some(fb);
         FlowDecision { pacing, repairs }
     }
 }
@@ -489,7 +534,27 @@ mod tests {
             events_lost,
             reorder_depth,
             pressure,
+            holes: Vec::new(),
         }
+    }
+
+    /// A report listing `holes` (as `(start, end)` pairs) in front of
+    /// `reorder_depth` parked events.
+    fn report(next_index: u64, reorder_depth: u64, holes: &[(u64, u64)]) -> FeedbackSummary {
+        FeedbackSummary {
+            holes: holes.iter().map(|&(a, b)| a..b).collect(),
+            ..fb(next_index, 0, reorder_depth, 0)
+        }
+    }
+
+    /// A session holding `n` sent frames of 8 events, frame `k` filled
+    /// with byte `k`.
+    fn sent_frames(n: u8) -> FlowSession {
+        let mut flow = FlowSession::new(FlowConfig::default());
+        for k in 0..n {
+            flow.record_sent(u64::from(k) * 8, 8, &[k; 30]);
+        }
+        flow
     }
 
     #[test]
@@ -576,34 +641,65 @@ mod tests {
     }
 
     #[test]
+    fn replay_lookup_finds_every_span_by_binary_search() {
+        let flow = sent_frames(50);
+        for index in 0..400 {
+            let entry = flow.replay.covering(index).expect("in the window");
+            assert_eq!(entry.first_index, index / 8 * 8, "index {index}");
+        }
+        assert!(flow.replay.covering(400).is_none());
+    }
+
+    #[test]
     fn confirmed_hole_is_repaired_once_then_again_only_on_stall() {
-        let mut flow = FlowSession::new(FlowConfig::default());
-        flow.record_sent(0, 8, &[0xA0; 30]);
-        flow.record_sent(8, 8, &[0xA1; 30]);
-        flow.record_sent(16, 8, &[0xA2; 30]);
+        let mut flow = sent_frames(3);
 
         // cursor at 8 with parked data behind: span 8..16 is missing
-        let d = flow.on_feedback(fb(8, 0, 8, 0), 0x42, 24, false);
-        assert_eq!(d.repairs, vec![vec![0xA1; 30]]);
+        let d = flow.on_feedback(report(8, 8, &[(8, 16)]), 0x42, 24, false);
+        assert_eq!(d.repairs, vec![vec![1; 30]]);
         assert_eq!(flow.repairs_events(), 8);
 
         // same hole reported again immediately: already repaired, the
         // cursor has not stalled twice yet → no duplicate resend
-        let d = flow.on_feedback(fb(8, 0, 8, 0), 0x42, 24, false);
+        let d = flow.on_feedback(report(8, 8, &[(8, 16)]), 0x42, 24, false);
         assert!(d.repairs.is_empty(), "repair in flight, not yet a stall");
 
         // …but hold on — that second report *was* the stall signal
         // (two consecutive reports pinned at 8), so the third resends.
-        let d = flow.on_feedback(fb(8, 0, 8, 0), 0x42, 24, false);
-        assert_eq!(d.repairs, vec![vec![0xA1; 30]], "stall re-repairs");
+        let d = flow.on_feedback(report(8, 8, &[(8, 16)]), 0x42, 24, false);
+        assert_eq!(d.repairs, vec![vec![1; 30]], "stall re-repairs");
         assert_eq!(flow.repairs_frames(), 2);
     }
 
     #[test]
+    fn one_report_repairs_every_listed_hole_once() {
+        let mut flow = sent_frames(8);
+        // frames 1, 3 and 4 lost, the rest parked; the second hole
+        // spans two frames
+        let holes = [(8, 16), (24, 40)];
+        let d = flow.on_feedback(report(8, 32, &holes), 0x42, 64, false);
+        assert_eq!(d.repairs, vec![vec![1; 30], vec![3; 30], vec![4; 30]]);
+        assert_eq!((flow.repairs_frames(), flow.repairs_events()), (3, 24));
+
+        // the same report again resends nothing; once the cursor stalls,
+        // only the frame at the cursor goes again
+        let d = flow.on_feedback(report(8, 32, &holes), 0x42, 64, false);
+        assert!(d.repairs.is_empty(), "every listed frame was resent");
+        let d = flow.on_feedback(report(8, 32, &holes), 0x42, 64, false);
+        assert_eq!(
+            d.repairs,
+            vec![vec![1; 30]],
+            "the stall re-repairs the cursor"
+        );
+
+        // a hole further on appears later: still repaired at once
+        let d = flow.on_feedback(report(16, 16, &[(24, 40), (48, 56)]), 0x42, 64, false);
+        assert_eq!(d.repairs, vec![vec![6; 30]]);
+    }
+
+    #[test]
     fn drain_mode_repairs_tail_holes_with_an_empty_reorder_buffer() {
-        let mut flow = FlowSession::new(FlowConfig::default());
-        flow.record_sent(0, 8, &[0xB0; 30]);
-        flow.record_sent(8, 8, &[0xB1; 30]);
+        let mut flow = sent_frames(2);
 
         // the LAST frame was dropped: nothing parks behind it, so
         // reorder_depth is 0 and streaming mode sees no hole…
@@ -611,7 +707,33 @@ mod tests {
         assert!(d.repairs.is_empty());
         // …but the finish drain knows 16 were sent and repairs it.
         let d = flow.on_feedback(fb(8, 0, 0, 0), 0x42, 16, true);
-        assert_eq!(d.repairs, vec![vec![0xB1; 30]]);
+        assert_eq!(d.repairs, vec![vec![1; 30]]);
+    }
+
+    #[test]
+    fn drain_mode_resends_the_tail_past_the_parked_data() {
+        let mut flow = sent_frames(8);
+        // frame 1 missing, frames 2 and 3 parked, frames 4.. not
+        // confirmed: the hole and the whole tail go in one round
+        let d = flow.on_feedback(report(8, 16, &[(8, 16)]), 0x42, 64, true);
+        let expected: Vec<Vec<u8>> = [1, 4, 5, 6, 7].iter().map(|&k| vec![k; 30]).collect();
+        assert_eq!(d.repairs, expected);
+        // the streaming rule alone would have resent frame 1 only
+        let mut streaming = sent_frames(8);
+        let d = streaming.on_feedback(report(8, 16, &[(8, 16)]), 0x42, 64, false);
+        assert_eq!(d.repairs, vec![vec![1; 30]]);
+    }
+
+    #[test]
+    fn a_hole_spanning_the_whole_window_resends_each_frame_at_most_once() {
+        let mut flow = sent_frames(40);
+        let hostile = report(0, 0, &[(0, u64::MAX)]);
+        for drain in [false, true, false, true] {
+            flow.on_feedback(hostile.clone(), 0x42, u64::MAX, drain);
+        }
+        // every frame once, plus the cursor's frame on each stall
+        assert!(flow.repairs_frames() <= 40 + 2, "{}", flow.repairs_frames());
+        assert!(flow.repairs_frames() >= 40);
     }
 
     #[test]
@@ -638,7 +760,7 @@ mod tests {
         });
         flow.record_sent(0, 8, &[0xD0; 40]);
         flow.record_sent(8, 8, &[0xD1; 40]); // evicts span 0..8
-        let d = flow.on_feedback(fb(0, 0, 8, 0), 0x42, 16, false);
+        let d = flow.on_feedback(report(0, 8, &[(0, 8)]), 0x42, 16, false);
         assert!(d.repairs.is_empty(), "span 0..8 aged out of the window");
         assert_eq!(flow.repairs_frames(), 0);
     }

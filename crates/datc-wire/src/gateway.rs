@@ -27,8 +27,11 @@
 //!   connection or peer is shed and counted;
 //! * a datagram or read opening with a HELLO with another header is the
 //!   sensor's next session, which takes the peer over;
-//! * a lone BYE frame is held for [`HubConfig::bye_grace`], so frames
-//!   reordered behind it still count;
+//! * a lone BYE frame retires its session at once when every event it
+//!   announces is released and nothing is parked; otherwise it is held
+//!   for [`HubConfig::bye_grace`], so frames reordered behind it still
+//!   count, and the session retires as soon as a late tail completes
+//!   its books;
 //! * a peer silent for [`HubConfig::idle_timeout`] is evicted and one
 //!   over the [`HubConfig::malformed_budget`] quarantined: a connection
 //!   is closed, an address drops stragglers until a HELLO with another
@@ -103,15 +106,17 @@ pub const DEFAULT_MALFORMED_BUDGET: u64 = 1024;
 /// (see [`HubConfig::resume_window`]).
 pub const DEFAULT_RESUME_WINDOW: Duration = Duration::from_secs(5);
 
-/// How long a hub keeps serving a session after its BYE before retiring
-/// it, absorbing reordered tail frames (see [`HubConfig::bye_grace`]).
+/// How long a hub keeps serving a session whose BYE found events still
+/// missing, absorbing reordered tail frames (see
+/// [`HubConfig::bye_grace`]).
 pub const DEFAULT_BYE_GRACE: Duration = Duration::from_millis(10);
 
 /// Poll quantum of both hub shells: the TCP acceptor's accept poll and
 /// back-off after a failed accept, the UDP receive timeout (also its
 /// post-stop drain quantum: the receive loop keeps decoding until one
 /// full quantum passes with the socket empty) and the bound on a
-/// FEEDBACK write.
+/// FEEDBACK write; also the UDP sender's back-off when its drain cannot
+/// wait on the socket.
 pub(crate) const POLL: Duration = Duration::from_millis(2);
 
 /// Gateway tuning.
@@ -167,11 +172,14 @@ pub struct HubConfig {
     /// close. `None` disables resume. Default: [`DEFAULT_RESUME_WINDOW`].
     pub resume_window: Option<Duration>,
     /// How long a session keeps being served after a BYE frame arrives
-    /// on its own (one datagram, or one read) before the hub retires
-    /// it. Frames reordered past the BYE are still attributed to the
-    /// session during the grace window instead of being dropped as
-    /// stragglers, keeping the books exact on reordering links; a close
-    /// ends the wait. Must be positive. Default: [`DEFAULT_BYE_GRACE`].
+    /// on its own (one datagram, or one read) while events it announces
+    /// are still missing. Frames reordered past the BYE are still
+    /// attributed to the session during the grace window instead of
+    /// being dropped as stragglers, keeping the books exact on
+    /// reordering links. The wait ends early when the books complete
+    /// (a BYE that finds every event released and nothing parked
+    /// retires its session at once) or on a close. Must be positive.
+    /// Default: [`DEFAULT_BYE_GRACE`].
     pub bye_grace: Duration,
 }
 
@@ -515,8 +523,9 @@ impl<K> Hub<K> {
     }
 
     /// Number of *finished* sessions in the table (a session lands once
-    /// its BYE's grace window ends or its connection closes, when it is
-    /// evicted or quarantined, or when the hub shuts down).
+    /// its BYE finds whole books, its grace window ends or its
+    /// connection closes, when it is evicted or quarantined, or when the
+    /// hub shuts down).
     pub fn session_count(&self) -> usize {
         self.table.len()
     }
@@ -1033,9 +1042,10 @@ impl<T: Transport> Sender<T> {
     }
 
     /// Flushes any frames the chaos link still holds, runs the
-    /// transport's drain (UDP with flow control: pump feedback and
-    /// repair tail holes until the receiver confirms everything sent or
-    /// the [`FlowConfig::drain`](crate::flow::FlowConfig::drain) budget
+    /// transport's drain (UDP with flow control: wait on feedback and
+    /// repair the holes and the tail it reports until the receiver
+    /// confirms everything sent or the
+    /// [`FlowConfig::drain`](crate::flow::FlowConfig::drain) budget
     /// runs out), sends the BYE, closes (TCP: flush and half-close) and
     /// reports the client-side counters.
     ///
@@ -1264,7 +1274,7 @@ impl SessionSender {
         }
         tcp.fb_buf.drain(..off);
         if newest.is_some() {
-            tcp.last_feedback = newest;
+            tcp.last_feedback.clone_from(&newest);
         }
         newest
     }
@@ -1272,8 +1282,8 @@ impl SessionSender {
     /// The newest flow-control report
     /// [`poll_feedback`](SessionSender::poll_feedback) has seen, if
     /// any.
-    pub fn last_feedback(&self) -> Option<crate::packet::FeedbackSummary> {
-        self.transport.last_feedback
+    pub fn last_feedback(&self) -> Option<&crate::packet::FeedbackSummary> {
+        self.transport.last_feedback.as_ref()
     }
 
     /// FEEDBACK frames consumed over the session's lifetime.
@@ -1494,14 +1504,14 @@ mod tests {
                 if let Some(fb) = tx.poll_feedback() {
                     newest = Some(fb);
                 }
-                newest.is_some_and(|fb| fb.next_index == 400)
+                newest.as_ref().is_some_and(|fb| fb.next_index == 400)
             },
             "feedback converges on the full event count",
         );
         let fb = newest.expect("hub wrote feedback back");
         assert_eq!(fb.nonce, header.nonce(), "report pinned to this session");
         assert_eq!(fb.events_lost, 0, "clean link reports no loss");
-        assert_eq!(tx.last_feedback(), Some(fb));
+        assert_eq!(tx.last_feedback(), Some(&fb));
         assert!(tx.feedback_rx() >= 1);
 
         let client = tx.finish().unwrap();

@@ -26,7 +26,7 @@
 use crate::frame::{parse_frame, Frame, FrameType, ParseOutcome, HEADER_LEN, SYNC};
 use crate::gateway::{HubConfig, HubSession, SessionTable, SinkFactory};
 use crate::obs::SessionObs;
-use crate::packet::SessionHeader;
+use crate::packet::{ByeSummary, SessionHeader};
 use crate::session::SessionRx;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -83,43 +83,66 @@ fn identity(header: &SessionHeader) -> Identity {
     (header.session_id, header.nonce())
 }
 
+/// A BYE that arrived on its own, held while its session still misses
+/// events.
+struct HeldBye {
+    frame: Vec<u8>,
+    /// The events the BYE announces (`None` when its payload is
+    /// malformed: only the grace ends the wait).
+    total_events: Option<u64>,
+    /// The end of the grace window.
+    until: Instant,
+}
+
 /// One in-flight hub session.
 struct Session {
     conn_id: u64,
     rx: SessionRx,
     /// Bytes read off the transport.
     bytes_received: u64,
-    /// A received BYE held until its grace deadline.
-    held_bye: Option<(Vec<u8>, Instant)>,
+    held_bye: Option<HeldBye>,
     /// When the peer last delivered bytes — the idle-eviction clock.
     last_activity: Instant,
 }
 
 impl Session {
-    /// Feeds a read or datagram: a lone BYE frame is held for the grace
-    /// window (a duplicate of a held BYE is dropped), everything else
-    /// reaches the decoder. `true` when the session is now over its
-    /// framing-garbage budget.
-    fn feed(&mut self, bytes: &[u8], now: Instant, config: &HubConfig) -> bool {
+    /// Feeds a read or datagram: a lone BYE frame is held (a duplicate
+    /// of a held BYE is dropped), everything else reaches the decoder.
+    /// Answers why the session ends now, if it does: quarantined over
+    /// its framing-garbage budget, or closed because a held BYE finds
+    /// every event it announces released and nothing parked. Otherwise
+    /// a held BYE waits out the grace window for what is missing.
+    fn feed(&mut self, bytes: &[u8], now: Instant, config: &HubConfig) -> Option<EndReason> {
         self.last_activity = now;
         self.bytes_received += bytes.len() as u64;
-        if leading(bytes, FrameType::Bye).is_some_and(|(_, len)| len == bytes.len()) {
-            self.held_bye
-                .get_or_insert_with(|| (bytes.to_vec(), now + config.bye_grace));
-            return false;
+        match leading(bytes, FrameType::Bye) {
+            Some((bye, len)) if len == bytes.len() => {
+                self.held_bye.get_or_insert_with(|| HeldBye {
+                    frame: bytes.to_vec(),
+                    total_events: ByeSummary::decode(bye.payload).map(|b| b.total_events),
+                    until: now + config.bye_grace,
+                });
+            }
+            _ => {
+                self.rx.push_bytes(bytes);
+                let budget = config.malformed_budget;
+                if budget.is_some_and(|b| self.rx.framing_garbage() > b) {
+                    return Some(EndReason::Quarantined);
+                }
+            }
         }
-        self.rx.push_bytes(bytes);
-        config
-            .malformed_budget
-            .is_some_and(|b| self.rx.framing_garbage() > b)
+        let total = self.held_bye.as_ref().and_then(|bye| bye.total_events);
+        total
+            .is_some_and(|total| self.rx.is_complete(total))
+            .then_some(EndReason::Closed)
     }
 
     /// Retires the session: flushes a held BYE into the decoder, closes
     /// the books, bumps the health counter `reason` names and lands the
     /// session in the table. Returns its header for the straggler filter.
     fn finish(mut self, reason: EndReason, table: &SessionTable) -> Option<SessionHeader> {
-        if let Some((bye, _)) = self.held_bye.take() {
-            self.rx.push_bytes(&bye);
+        if let Some(bye) = self.held_bye.take() {
+            self.rx.push_bytes(&bye.frame);
         }
         match reason {
             EndReason::Closed => {}
@@ -223,9 +246,9 @@ impl<P: Copy + Eq + Hash> HubCore<P> {
                 old.finish(EndReason::Closed, &self.table);
             }
             Some(session) => {
-                if session.feed(bytes, now, &self.config) {
+                if let Some(reason) = session.feed(bytes, now, &self.config) {
                     let session = self.live.remove(&peer).expect("looked up above");
-                    self.retire(peer, session, EndReason::Quarantined, now);
+                    self.retire(peer, session, reason, now);
                 }
                 return;
             }
@@ -296,7 +319,7 @@ impl<P: Copy + Eq + Hash> HubCore<P> {
                 if let Some(fb) = s.rx.feedback_due(pressure, now) {
                     actions.push(Action::Send(peer, fb));
                 }
-                s.held_bye.as_ref().is_some_and(|&(_, at)| at <= now)
+                s.held_bye.as_ref().is_some_and(|bye| bye.until <= now)
                     || idle.is_some_and(|t| now.duration_since(s.last_activity) >= t)
             })
             .collect();
@@ -411,10 +434,11 @@ impl<P: Copy + Eq + Hash> HubCore<P> {
                 }
             }
         };
-        if session.feed(bytes, now, &self.config) {
-            self.retire(peer, session, EndReason::Quarantined, now);
-        } else {
-            self.live.insert(peer, session);
+        match session.feed(bytes, now, &self.config) {
+            Some(reason) => self.retire(peer, session, reason, now),
+            None => {
+                self.live.insert(peer, session);
+            }
         }
     }
 
@@ -586,7 +610,10 @@ mod tests {
         let t0 = Instant::now();
         let (hello, data, bye) = frames(55, 30, 10);
         core.on_bytes(1, &hello, t0);
-        data.iter().for_each(|f| core.on_bytes(1, f, t0));
+        // data[1] is lost: the BYE finds a hole and waits out its grace
+        for f in [&data[0], &data[2]] {
+            core.on_bytes(1, f, t0);
+        }
         core.on_bytes(1, &bye, t0);
         core.tick(t0 + grace - NS);
         assert!(core.table.is_empty(), "the BYE is still in grace");
@@ -594,7 +621,7 @@ mod tests {
         assert_eq!(core.table.len(), 1, "grace over: the session landed");
         assert_eq!(closes(&mut core), vec![1]);
         let s = landed(&core, 55);
-        assert!(s.closed && s.events_decoded == 30 && s.events_lost == 0);
+        assert!(s.closed && s.events_decoded == 20 && s.events_lost == 10);
 
         // a duplicate DATA and BYE, and a duplicate of the old HELLO,
         // cannot resurrect the address
@@ -616,17 +643,52 @@ mod tests {
     }
 
     #[test]
-    fn data_reordered_behind_the_bye_is_absorbed_by_the_grace_window() {
+    fn whole_books_at_the_bye_land_the_session_with_no_tick() {
         let mut core = core(HubConfig::default());
         let t0 = Instant::now();
-        let (hello, data, bye) = frames(60, 20, 10);
-        // the BYE overtakes the last DATA
-        for (f, at) in [(&hello, 0), (&data[0], 1), (&bye, 2), (&data[1], 9)] {
+        let (hello, data, bye) = frames(57, 30, 10);
+        core.on_bytes(1, &hello, t0);
+        data.iter().for_each(|f| core.on_bytes(1, f, t0));
+        core.on_bytes(1, &bye, t0);
+        assert_eq!(core.table.len(), 1, "landed on the BYE itself");
+        assert_eq!(closes(&mut core), vec![1]);
+        let s = landed(&core, 57);
+        assert!(s.closed && s.events_decoded == 30 && s.events_lost == 0);
+        core.on_bytes(1, &bye, t0 + MS);
+        assert!(core.live.is_empty(), "a duplicate BYE is a straggler");
+
+        // a connection whose read is the lone BYE is closed at once
+        let (hello, data, bye) = frames(58, 30, 10);
+        core.on_open(7, t0);
+        core.on_bytes(7, &[hello, data.concat()].concat(), t0);
+        core.on_bytes(7, &bye, t0);
+        assert_eq!(closes(&mut core), vec![7]);
+        core.on_close(7, t0);
+        let s = landed(&core, 58);
+        assert!(s.closed && s.events_decoded == 30 && s.events_lost == 0);
+        assert_eq!(core.table.len(), 2);
+        assert!(core.live.is_empty() && core.pending.is_empty() && core.parked.is_empty());
+        if let Some(h) = health(&core) {
+            assert_eq!((h.sessions_finished, h.evicted, h.in_flight), (2, 0, 0));
+        }
+    }
+
+    #[test]
+    fn a_late_tail_during_the_grace_lands_the_session_on_that_datagram() {
+        let mut core = core(HubConfig::default());
+        let t0 = Instant::now();
+        let (hello, data, bye) = frames(60, 30, 10);
+        // the BYE overtakes the last two DATA frames, which come back
+        // out of order
+        for (f, at) in [(&hello, 0), (&data[0], 1), (&bye, 2), (&data[2], 3)] {
             core.on_bytes(1, f, t0 + at * MS);
         }
-        core.tick(t0 + 2 * MS + core.config.bye_grace);
+        assert!(core.table.is_empty(), "data[1] is still missing");
+        core.on_bytes(1, &data[1], t0 + 4 * MS);
+        assert_eq!(core.table.len(), 1, "the tail completed the books");
+        assert_eq!(closes(&mut core), vec![1]);
         let s = landed(&core, 60);
-        assert_eq!((s.events_decoded, s.events_lost), (20, 0), "D1 absorbed");
+        assert_eq!((s.events_decoded, s.events_lost), (30, 0), "tail absorbed");
         assert!(s.closed);
     }
 
@@ -637,8 +699,12 @@ mod tests {
         let (hello_a, data_a, bye_a) = frames(70, 25, 10);
         let (hello_b, data_b, bye_b) = frames(71, 15, 10);
         core.on_bytes(1, &hello_a, t0);
-        data_a.iter().for_each(|f| core.on_bytes(1, f, t0));
+        // data_a[1] is lost, so A's BYE waits in its grace
+        for f in [&data_a[0], &data_a[2]] {
+            core.on_bytes(1, f, t0);
+        }
         core.on_bytes(1, &bye_a, t0);
+        assert!(core.table.is_empty(), "A is in its grace");
         core.on_bytes(1, &hello_b, t0 + MS);
         assert_eq!(
             core.table.len(),
@@ -646,7 +712,7 @@ mod tests {
             "A retired by the takeover, no tick needed"
         );
         let a = landed(&core, 70);
-        assert!(a.closed && a.events_decoded == 25 && a.events_lost == 0);
+        assert!(a.closed && a.events_decoded == 15 && a.events_lost == 10);
         assert!(
             actions(&mut core).is_empty(),
             "the address stays open for B"
@@ -793,11 +859,10 @@ mod tests {
         core.on_bytes(2, &data_b[0], t0);
         assert_eq!(closes(&mut core), vec![2, 2], "every frame of B is shed");
         data.iter().for_each(|f| core.on_bytes(1, f, t0));
-        core.on_bytes(1, &bye, t0);
         // a connection at the cap is shed at accept
         core.on_open(3, t0);
         assert_eq!(closes(&mut core), vec![3]);
-        core.tick(t0 + core.config.bye_grace);
+        core.on_bytes(1, &bye, t0);
         assert_eq!(core.table.len(), 1, "only peer 1 got a session");
         assert_eq!(landed(&core, 1).events_decoded, 60);
         if let Some(h) = health(&core) {
@@ -1220,13 +1285,8 @@ mod tests {
             let got = sessions.iter().find(|x| x.session_id == s.id);
             let st = &got.expect("landed").report.stats;
             let what = format!("seed {seed:#x}, session {}", s.id);
-            // A frame truncated within a frame's length of the BYE
-            // swallows it (the decoder waits for the declared length),
-            // so only byte-exact links always close their books.
-            assert!(st.closed || !s.exact, "{what}: books closed by the BYE");
-            if st.closed {
-                assert_eq!(st.events_decoded + st.events_lost, s.events, "{what}");
-            }
+            assert!(st.closed, "{what}: books closed by the BYE");
+            assert_eq!(st.events_decoded + st.events_lost, s.events, "{what}");
             if s.exact {
                 assert_eq!(st.events_lost, s.fate_lost, "{what}: exact books");
             }

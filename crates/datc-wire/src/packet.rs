@@ -45,13 +45,18 @@
 //! event index the receiver has released), `events_lost:varint`
 //! (cumulative exact loss booked so far), `reorder_depth:varint`
 //! (events parked in the reorder buffer), `pressure:u8` (hub load
-//! level, 0 = idle … 255 = saturated). The only frame that travels
+//! level, 0 = idle … 255 = saturated), then `n_holes:varint` (at most
+//! [`MAX_FEEDBACK_HOLES`]) and per hole `gap:varint` `len:varint`: the
+//! missing event spans between `next_index` and the end of the parked
+//! data, in order, each gap counted from the previous hole's end (the
+//! first from `next_index`). The only frame that travels
 //! receiver→sender; see [`FeedbackSummary`].
 
 use crate::batch::EventBatch;
 use crate::frame::{encode_frame, FrameType, HEADER_LEN, MAX_PAYLOAD};
-use crate::varint::{read_varint, read_varint_with, write_varint, VarintPolicy};
+use crate::varint::{read_varint, read_varint_with, write_varint, VarintPolicy, MAX_VARINT_LEN};
 use datc_uwb::aer::AddressedEvent;
+use std::ops::Range;
 
 /// Everything a receiver needs to turn tick-domain events back into
 /// timestamped [`Event`](datc_core::Event)s, announced once per session.
@@ -394,6 +399,16 @@ impl ByeSummary {
     }
 }
 
+/// Most missing event spans one FEEDBACK report lists (see
+/// [`FeedbackSummary::holes`]).
+pub const MAX_FEEDBACK_HOLES: usize = 16;
+
+/// Upper bound on an encoded FEEDBACK payload: the five fixed fields,
+/// the hole count and [`MAX_FEEDBACK_HOLES`] gap/length varint pairs.
+/// A FEEDBACK frame is at most this plus [`HEADER_LEN`] and the CRC.
+pub const MAX_FEEDBACK_PAYLOAD: usize =
+    2 + 3 * MAX_VARINT_LEN + 1 + MAX_FEEDBACK_HOLES * 2 * MAX_VARINT_LEN;
+
 /// A receiver→sender flow-control report, the FEEDBACK frame payload.
 ///
 /// Snapshotted from the receiver's exact books at a configurable
@@ -401,7 +416,7 @@ impl ByeSummary {
 /// UDP datagram to the peer address). The sender's
 /// [`flow`](crate::flow) module turns these into AIMD pacing decisions
 /// and gap-repair retransmissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedbackSummary {
     /// Session nonce ([`SessionHeader::nonce`]) — lets the sender drop
     /// feedback that belongs to another session on a reused address.
@@ -416,22 +431,49 @@ pub struct FeedbackSummary {
     /// Hub pressure level: 0 = idle, 255 = saturated (derived from
     /// in-flight sessions vs capacity plus shed/quarantine activity).
     pub pressure: u8,
+    /// The missing event spans between `next_index` and the end of the
+    /// parked data, in order and non-empty: the first starts at
+    /// `next_index` whenever `reorder_depth > 0`. At most
+    /// [`MAX_FEEDBACK_HOLES`]; a report at the cap may leave later holes
+    /// out.
+    pub holes: Vec<Range<u64>>,
 }
 
 impl FeedbackSummary {
     /// Serialises the FEEDBACK payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the report lists more than [`MAX_FEEDBACK_HOLES`]
+    /// holes, or a hole that is empty or not after the previous one.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 + 3 * 10);
+        assert!(
+            self.holes.len() <= MAX_FEEDBACK_HOLES,
+            "a FEEDBACK report lists at most {MAX_FEEDBACK_HOLES} holes"
+        );
+        let mut out = Vec::with_capacity(MAX_FEEDBACK_PAYLOAD);
         out.push(self.nonce);
         write_varint(self.next_index, &mut out);
         write_varint(self.events_lost, &mut out);
         write_varint(self.reorder_depth, &mut out);
         out.push(self.pressure);
+        write_varint(self.holes.len() as u64, &mut out);
+        let mut end = self.next_index;
+        for hole in &self.holes {
+            assert!(
+                end <= hole.start && hole.start < hole.end,
+                "FEEDBACK holes must be non-empty and in order"
+            );
+            write_varint(hole.start - end, &mut out);
+            write_varint(hole.end - hole.start, &mut out);
+            end = hole.end;
+        }
         out
     }
 
-    /// Parses a FEEDBACK payload; `None` on truncation or trailing
-    /// garbage.
+    /// Parses a FEEDBACK payload; `None` on truncation, trailing
+    /// garbage, more than [`MAX_FEEDBACK_HOLES`] holes, or a hole that
+    /// is empty or ends past `u64::MAX`.
     ///
     /// # Example
     ///
@@ -443,6 +485,7 @@ impl FeedbackSummary {
     ///     events_lost: 12,
     ///     reorder_depth: 64,
     ///     pressure: 0,
+    ///     holes: vec![1000..1064, 1128..1192],
     /// };
     /// assert_eq!(FeedbackSummary::decode(&fb.encode()), Some(fb));
     /// ```
@@ -455,12 +498,32 @@ impl FeedbackSummary {
         off += used;
         let &pressure = rest.get(off)?;
         off += 1;
+        let (n_holes, used) = read_varint(&rest[off..])?;
+        off += used;
+        if n_holes > MAX_FEEDBACK_HOLES as u64 {
+            return None;
+        }
+        let mut holes = Vec::with_capacity(n_holes as usize);
+        let mut end = next_index;
+        for _ in 0..n_holes {
+            let (gap, used) = read_varint(&rest[off..])?;
+            off += used;
+            let (len, used) = read_varint(&rest[off..])?;
+            off += used;
+            let start = end.checked_add(gap)?;
+            end = start.checked_add(len)?;
+            if len == 0 {
+                return None;
+            }
+            holes.push(start..end);
+        }
         (off == rest.len()).then_some(FeedbackSummary {
             nonce,
             next_index,
             events_lost,
             reorder_depth,
             pressure,
+            holes,
         })
     }
 }
@@ -752,23 +815,64 @@ mod tests {
         assert_eq!(parsed.per_channel, vec![9, 8, 8]);
     }
 
+    fn feedback(holes: Vec<Range<u64>>) -> FeedbackSummary {
+        FeedbackSummary {
+            nonce: 0xA7,
+            next_index: 1 << 63,
+            events_lost: u64::MAX,
+            reorder_depth: u64::MAX,
+            pressure: 255,
+            holes,
+        }
+    }
+
     #[test]
     fn feedback_round_trips_and_rejects_truncation_and_padding() {
-        let fb = FeedbackSummary {
-            nonce: 0xA7,
-            next_index: u64::MAX,
-            events_lost: 1 << 40,
-            reorder_depth: 300,
-            pressure: 255,
-        };
-        let payload = fb.encode();
-        assert_eq!(FeedbackSummary::decode(&payload), Some(fb));
-        for cut in 0..payload.len() {
-            assert_eq!(FeedbackSummary::decode(&payload[..cut]), None, "cut {cut}");
+        let big = 1u64 << 57;
+        let at_cap = (0..MAX_FEEDBACK_HOLES as u64)
+            .map(|k| (1 << 63) + (2 * k + 1) * big..(1 << 63) + (2 * k + 2) * big)
+            .collect();
+        for fb in [
+            feedback(Vec::new()),
+            feedback(std::iter::once(u64::MAX - 64..u64::MAX).collect()),
+            feedback(at_cap),
+        ] {
+            let payload = fb.encode();
+            assert!(payload.len() <= MAX_FEEDBACK_PAYLOAD, "{fb:?}");
+            assert_eq!(FeedbackSummary::decode(&payload), Some(fb));
+            for cut in 0..payload.len() {
+                assert_eq!(FeedbackSummary::decode(&payload[..cut]), None, "cut {cut}");
+            }
+            let mut padded = payload.clone();
+            padded.push(0);
+            assert_eq!(FeedbackSummary::decode(&padded), None);
         }
-        let mut padded = payload.clone();
-        padded.push(0);
-        assert_eq!(FeedbackSummary::decode(&padded), None);
+    }
+
+    #[test]
+    fn feedback_rejects_empty_overflowing_and_over_cap_hole_lists() {
+        // the fixed fields of `feedback(..)`, then a raw hole list
+        let with_holes = |count: u64, varints: &[u64]| {
+            let mut payload = feedback(Vec::new()).encode();
+            payload.pop(); // the zero hole count
+            write_varint(count, &mut payload);
+            for &v in varints {
+                write_varint(v, &mut payload);
+            }
+            FeedbackSummary::decode(&payload)
+        };
+        assert!(with_holes(1, &[0, 1]).is_some(), "the raw builder is sound");
+        assert_eq!(with_holes(1, &[0, 0]), None, "an empty span");
+        assert_eq!(with_holes(2, &[0, 5, 3, 0]), None, "an empty later span");
+        assert_eq!(with_holes(1, &[1 << 63, 1]), None, "a start past u64::MAX");
+        assert_eq!(with_holes(1, &[0, 1 << 63]), None, "an end past u64::MAX");
+        let over_cap = vec![1; 2 * (MAX_FEEDBACK_HOLES + 1)];
+        assert_eq!(
+            with_holes(MAX_FEEDBACK_HOLES as u64 + 1, &over_cap),
+            None,
+            "a count above the cap"
+        );
+        assert_eq!(with_holes(u64::MAX, &[]), None, "a count that cannot fit");
     }
 
     #[test]

@@ -242,6 +242,12 @@ impl SessionRx {
         self.decoder.is_closed()
     }
 
+    /// `true` when a BYE announcing `total_events` would find nothing
+    /// left to wait for (see [`StreamDecoder::is_complete`]).
+    pub(crate) fn is_complete(&self, total_events: u64) -> bool {
+        self.decoder.is_complete(total_events)
+    }
+
     /// Current decoder counters.
     pub fn stats(&self) -> WireStats {
         self.decoder.stats()

@@ -28,12 +28,23 @@
 //! UDP has no accept/EOF, so the [`UdpTelemetryHub`] keys sessions by
 //! peer address and runs the gateway's
 //! [session lifecycle](crate::gateway#session-lifecycle) on it: a
-//! session retires when its BYE's grace window ends, when it goes idle
-//! (a lost BYE, a dead sensor), or when a HELLO with another header
-//! takes the address over (sensors reuse one socket for successive
-//! sessions); its late stragglers are dropped, never resurrected as a
-//! ghost. Shutdown drains the socket, so every datagram received before
-//! the stop request is decoded and delivered exactly once.
+//! session retires when its BYE finds whole books (at once) or its
+//! grace window ends, when it goes idle (a lost BYE, a dead sensor), or
+//! when a HELLO with another header takes the address over (sensors
+//! reuse one socket for successive sessions); its late stragglers are
+//! dropped, never resurrected as a ghost. Shutdown drains the socket,
+//! so every datagram received before the stop request is decoded and
+//! delivered exactly once.
+//!
+//! ## Closing a lossy session
+//!
+//! With flow control installed
+//! ([`with_flow`](UdpSessionSender::with_flow)), `finish` drains before
+//! the BYE: it sleeps on the socket until the next FEEDBACK lands,
+//! resends every hole the report lists plus the unconfirmed tail, and
+//! stops once a report confirms every event sent. The BYE then finds
+//! whole books and the hub retires the session on it, so a lossy
+//! session closes in about one feedback round trip.
 //!
 //! ## Known limits
 //!
@@ -57,13 +68,13 @@
 //!   decoded.
 
 use crate::flow::FlowSession;
-use crate::frame::{parse_frame, FrameType, ParseOutcome};
+use crate::frame::{parse_frame, FrameType, ParseOutcome, CRC_LEN, HEADER_LEN};
 use crate::gateway::{
     fleet_header, ClientReport, Hub, HubConfig, RetryPolicy, Sender, SenderCore, SessionTable,
     SinkFactory, Transport, POLL,
 };
 use crate::hub::{Action, HubCore};
-use crate::packet::SessionHeader;
+use crate::packet::{SessionHeader, MAX_FEEDBACK_PAYLOAD};
 use datc_engine::FleetOutput;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -329,7 +340,8 @@ impl Transport for UdpTransport {
     /// Tail drain: the last DATA frames have nothing behind them to
     /// park, so only drain-mode feedback comparison against
     /// `events_sent` can confirm (or repair) them before the BYE closes
-    /// the books.
+    /// the books. Between reports the drain sleeps on the socket, so
+    /// it wakes the moment the next FEEDBACK lands.
     fn drain(&mut self, core: &mut SenderCore) -> std::io::Result<()> {
         let Some(budget) = self.flow.as_ref().map(|f| f.config().drain) else {
             return Ok(());
@@ -342,10 +354,11 @@ impl Transport for UdpTransport {
                 .as_ref()
                 .and_then(FlowSession::last_feedback)
                 .is_some_and(|fb| fb.next_index >= core.packetizer.events_sent());
-            if confirmed || Instant::now() >= deadline {
+            let now = Instant::now();
+            if confirmed || now >= deadline {
                 return Ok(());
             }
-            std::thread::sleep(POLL);
+            self.await_datagram(deadline - now);
         }
     }
 
@@ -366,7 +379,7 @@ impl UdpTransport {
             return Ok(());
         }
         let mut repairs: Vec<Vec<u8>> = Vec::new();
-        let mut buf = [0u8; 256];
+        let mut buf = [0u8; HEADER_LEN + MAX_FEEDBACK_PAYLOAD + CRC_LEN];
         // WouldBlock = drained; any other error (e.g. a refused ICMP
         // surfacing on the read side) also ends the pump — feedback is
         // advisory, never session-fatal.
@@ -398,6 +411,28 @@ impl UdpTransport {
         }
         self.sync_flow_obs();
         Ok(())
+    }
+
+    /// Blocks until a datagram is waiting on the socket, for at most
+    /// `wait`, leaving it for [`pump_feedback`](Self::pump_feedback).
+    /// A socket error (a refused ICMP surfacing on the read side) sleeps
+    /// out one poll quantum instead, so a failing socket cannot spin the
+    /// drain.
+    fn await_datagram(&self, wait: Duration) {
+        let error = match self.socket.set_read_timeout(Some(wait)) {
+            Ok(()) => self.socket.peek(&mut [0u8; 1]).err(),
+            Err(e) => Some(e),
+        };
+        // The timeout running out reads as WouldBlock or TimedOut.
+        let timed_out = |e: &std::io::Error| {
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            )
+        };
+        if error.is_some_and(|e| !timed_out(&e)) {
+            std::thread::sleep(POLL.min(wait));
+        }
     }
 
     fn sync_flow_obs(&self) {
@@ -477,12 +512,12 @@ impl UdpSessionSender {
     /// through an [`AimdController`](crate::flow::AimdController) that
     /// re-paces the socket (additive increase on clean feedback,
     /// multiplicative decrease on fresh loss or hub pressure), and
-    /// retransmits feedback-reported holes still covered by its
-    /// [`ReplayBuffer`](crate::flow::ReplayBuffer). Repairs are
-    /// byte-identical originals — the receiver's duplicate/overlap
-    /// dedup keeps the books exact — and bypass any installed
-    /// [`ChaosLink`](crate::chaos::ChaosLink), so a pinned fate
-    /// schedule stays pinned.
+    /// retransmits the holes each report lists that its
+    /// [`ReplayBuffer`](crate::flow::ReplayBuffer) still covers.
+    /// Repairs are byte-identical originals — the receiver's
+    /// duplicate/overlap dedup keeps the books exact — and bypass any
+    /// installed [`ChaosLink`](crate::chaos::ChaosLink), so a pinned
+    /// fate schedule stays pinned.
     ///
     /// The installed config's AIMD band replaces the connect-time
     /// [`UdpPacing`] from the first feedback onward (pacing starts at
@@ -846,11 +881,12 @@ mod tests {
             };
             assert_eq!(frame.ftype, crate::frame::FrameType::Feedback);
             let fb = crate::packet::FeedbackSummary::decode(frame.payload).unwrap();
+            let confirmed = fb.next_index >= 30;
             let decision = flow.on_feedback(fb, header.nonce(), 30, true);
             for repair in &decision.repairs {
                 socket.send(repair).unwrap();
             }
-            if fb.next_index >= 30 {
+            if confirmed {
                 break flow.repairs_frames();
             }
         };
@@ -872,6 +908,41 @@ mod tests {
         );
         assert_eq!(sessions[0].report.stats.events_lost, 0);
         assert!(sessions[0].report.stats.closed);
+    }
+
+    #[test]
+    fn a_report_at_the_hole_cap_reaches_the_flow_session_whole() {
+        use crate::packet::{FeedbackSummary, MAX_FEEDBACK_HOLES};
+
+        // A stand-in hub answers the HELLO with the largest report the
+        // codec admits: u64-scale indices and every hole slot used.
+        let hub = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let header = SessionHeader::new(42, 1, 2000.0, 1.0);
+        let mut tx = UdpSessionSender::connect(hub.local_addr().unwrap(), header)
+            .unwrap()
+            .with_flow(crate::flow::FlowConfig::default());
+        let mut buf = [0u8; 64];
+        let (_, sender) = hub.recv_from(&mut buf).unwrap();
+        let step = 1u64 << 57;
+        let report = FeedbackSummary {
+            nonce: header.nonce(),
+            next_index: 1 << 63,
+            events_lost: u64::MAX,
+            reorder_depth: u64::MAX,
+            pressure: 255,
+            holes: (0..MAX_FEEDBACK_HOLES as u64)
+                .map(|k| (1 << 63) + (2 * k + 1) * step..(1 << 63) + (2 * k + 2) * step)
+                .collect(),
+        };
+        let frame = crate::frame::encode_frame(FrameType::Feedback, 0, &report.encode());
+        assert!(frame.len() > 256, "larger than the old receive buffer");
+        hub.send_to(&frame, sender).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while tx.flow().unwrap().feedback_rx() == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            tx.send_events(&[]).unwrap(); // pumps feedback
+        }
+        assert_eq!(tx.flow().unwrap().last_feedback(), Some(&report));
     }
 
     #[test]
