@@ -5,11 +5,12 @@
 //! force information". This crate implements that pipeline and scores it
 //! with the paper's figure of merit (Pearson correlation, %):
 //!
-//! * [`windowing`] — sliding/tumbling event-rate estimation;
-//! * [`online`] — streaming reconstructors
-//!   ([`OnlineReconstructor`]) that accept
-//!   events incrementally and emit force samples with bounded latency,
-//!   bit-exact with the batch estimators on a lossless feed;
+//! * [`windowing`] — sliding-window and EWMA event-rate estimation;
+//! * [`online`] — one streaming reconstructor
+//!   ([`AnyOnlineReconstructor`], built from an [`OnlineReconSelect`])
+//!   that accepts events incrementally and emits force samples with
+//!   bounded latency, bit-exact with the batch estimators on a lossless
+//!   feed;
 //! * [`reconstruct`] — four reconstructors: windowed **rate** (the ATC
 //!   baseline), **threshold-track** (zero-order hold of the D-ATC
 //!   threshold side information), **hybrid** (threshold + rate refinement,
@@ -31,11 +32,7 @@ pub mod reconstruct;
 pub mod windowing;
 
 pub use metrics::{evaluate, CorrelationReport};
-pub use online::{
-    AnyOnlineReconstructor, OnlineEwmaReconstructor, OnlineHybridReconstructor,
-    OnlineRateReconstructor, OnlineReconSelect, OnlineReconstructor,
-    OnlineThresholdTrackReconstructor,
-};
+pub use online::{AnyOnlineReconstructor, OnlineReconSelect, OnlineReconstructor, Rate0};
 pub use pipeline::{Link, LinkBuilder, LinkRun};
 pub use reconstruct::{
     HybridReconstructor, RateReconstructor, Reconstructor, RiceInversionReconstructor,

@@ -7,7 +7,7 @@
 //! correlating — standard practice for windowed force estimates.
 
 use datc_signal::resample::resample_linear;
-use datc_signal::stats::{best_alignment, pearson, rmse};
+use datc_signal::stats::{best_alignment, rmse};
 use datc_signal::{Signal, SignalError};
 
 /// The outcome of comparing a reconstruction against a reference.
@@ -21,11 +21,6 @@ pub struct CorrelationReport {
     /// Root-mean-square error after normalising both sequences to unit
     /// peak (scale-free shape error).
     pub shape_rmse: f64,
-}
-
-/// Mean helper exposed for sibling modules' tests.
-pub fn mean_of(xs: &[f64]) -> f64 {
-    datc_signal::stats::mean(xs)
 }
 
 /// Compares `reconstruction` against the ground-truth `reference`
@@ -97,23 +92,6 @@ pub fn evaluate(
     })
 }
 
-/// Convenience: correlation % without alignment (lag 0), for strictly
-/// causal comparisons.
-///
-/// # Errors
-///
-/// Propagates [`SignalError`] from resampling or a too-short overlap.
-pub fn correlation_percent_aligned_at_zero(
-    reconstruction: &Signal,
-    reference: &Signal,
-) -> Result<f64, SignalError> {
-    let fs = reconstruction.sample_rate().min(reference.sample_rate());
-    let recon = resample_linear(reconstruction, fs)?;
-    let refer = resample_linear(reference, fs)?;
-    let n = recon.len().min(refer.len());
-    Ok(pearson(&refer.samples()[..n], &recon.samples()[..n])? * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,8 +126,8 @@ mod tests {
     fn anti_correlated_signals_score_negative() {
         let refer = Signal::from_fn(100.0, 2.0, |t| (3.0 * t).sin());
         let recon = Signal::from_fn(100.0, 2.0, |t| -(3.0 * t).sin());
-        let r = correlation_percent_aligned_at_zero(&recon, &refer).unwrap();
-        assert!(r < -99.0);
+        let r = evaluate(&recon, &refer, 0.0).unwrap();
+        assert!(r.percent < -99.0);
     }
 
     #[test]

@@ -45,35 +45,6 @@ pub fn sliding_rate(events: &EventStream, window_s: f64, output_fs: f64) -> Sign
     Signal::from_samples(out, output_fs)
 }
 
-/// Non-overlapping (tumbling) window counts: `(window_centre_s, count)`
-/// pairs — the simplest receiver the original ATC demo used.
-///
-/// An event timestamped exactly at the end of the observation window
-/// (`time_s / window_s == n_windows`, which happens whenever the window
-/// length divides the duration) belongs to the last window rather than
-/// to a non-existent one past the end; it is clamped in, not dropped.
-pub fn tumbling_counts(events: &EventStream, window_s: f64) -> Vec<(f64, usize)> {
-    assert!(window_s > 0.0, "window must be positive");
-    let n_windows = (events.duration_s() / window_s).ceil() as usize;
-    let mut counts = vec![0usize; n_windows];
-    for e in events {
-        let mut idx = (e.time_s / window_s) as usize;
-        if idx == n_windows && n_windows > 0 && e.time_s <= events.duration_s() {
-            // exactly at the window edge: the closed end of the last bin
-            // (events strictly past the observation window stay dropped)
-            idx = n_windows - 1;
-        }
-        if idx < n_windows {
-            counts[idx] += 1;
-        }
-    }
-    counts
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| ((i as f64 + 0.5) * window_s, c))
-        .collect()
-}
-
 /// Exponentially weighted event-rate estimate (one-pole smoothing of the
 /// inter-event intervals), an alternative receiver with O(1) memory.
 pub fn ewma_rate(events: &EventStream, tau_s: f64, output_fs: f64) -> Signal {
@@ -134,57 +105,10 @@ mod tests {
     }
 
     #[test]
-    fn tumbling_counts_partition_all_events() {
-        let s = regular_stream(97.0, 2.0);
-        let windows = tumbling_counts(&s, 0.13);
-        let total: usize = windows.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, s.len());
-    }
-
-    #[test]
-    fn tumbling_counts_keep_the_event_at_the_exact_window_edge() {
-        // duration 1.0 s, window 0.25 s: an event at exactly t = 1.0
-        // indexes to 4 == n_windows and used to be dropped silently.
-        let ev = vec![
-            Event {
-                tick: 0,
-                time_s: 0.1,
-                vth_code: None,
-            },
-            Event {
-                tick: 999,
-                time_s: 1.0,
-                vth_code: None,
-            },
-        ];
-        let s = EventStream::new(ev, 1000.0, 1.0);
-        let windows = tumbling_counts(&s, 0.25);
-        assert_eq!(windows.len(), 4);
-        let total: usize = windows.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 2, "edge event must not vanish");
-        assert_eq!(windows[3].1, 1, "edge event clamps into the last window");
-
-        // but an event strictly past the observation window stays out:
-        // the clamp rescues the boundary, not out-of-window data
-        let late = EventStream::new(
-            vec![Event {
-                tick: 0,
-                time_s: 1.49, // idx == n_windows for window 0.5 yet t > duration
-                vth_code: None,
-            }],
-            1000.0,
-            1.0,
-        );
-        let windows = tumbling_counts(&late, 0.5);
-        let total: usize = windows.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 0, "past-duration event must not be clamped in");
-    }
-
-    #[test]
     fn ewma_rate_converges_to_true_rate() {
         let s = regular_stream(80.0, 4.0);
         let rate = ewma_rate(&s, 0.25, 200.0);
-        let tail = crate::metrics::mean_of(&rate.samples()[600..]);
+        let tail = datc_signal::stats::mean(&rate.samples()[600..]);
         assert!((tail - 80.0).abs() < 8.0, "ewma tail {tail}");
     }
 

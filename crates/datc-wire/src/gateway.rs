@@ -57,11 +57,11 @@
 //!
 //! One reconstructor selection opts out of the bound: a
 //! [`Hybrid`](datc_rx::online::OnlineReconSelect::Hybrid) with
-//! `rate0_hz: None` and no calibration window *defers* emission to
-//! session close (that is what makes it bit-exact with the batch
-//! hybrid), staging `O(duration · output_fs)` samples per channel and
-//! delivering no force to the sink until the session ends. For
-//! long-running hub sessions, pin `rate0_hz`, or set `rate0_calib_s`
+//! [`Rate0::Deferred`](datc_rx::online::Rate0::Deferred) *defers*
+//! emission to session close (that is what makes it bit-exact with the
+//! batch hybrid), staging `O(duration · output_fs)` samples per channel
+//! and delivering no force to the sink until the session ends. For
+//! long-running hub sessions, use `Rate0::Pinned`, or `Rate0::Calibrate`
 //! to auto-calibrate `rate₀` from each session's first seconds
 //! (staging stays bounded by the calibration window); pure deferred
 //! mode is for bounded replays.
@@ -1293,19 +1293,18 @@ impl SessionSender {
 }
 
 /// Rejects hub configs that would panic lazily inside a hub thread
-/// (where a panic means silently lost sessions, not an error).
-/// Mirrors every assert the per-channel reconstructor constructors and
-/// the [`ForceRing`](crate::sink::ForceRing) perform on first HELLO.
+/// (where a panic means silently lost sessions, not an error): the
+/// hub's own settings, the [`ForceRing`](crate::sink::ForceRing) assert
+/// and the reconstructor's
+/// [`validate`](datc_rx::online::OnlineReconSelect::validate) rule, all
+/// of which first bite on a session's HELLO.
 pub(crate) fn validate_config(config: &HubConfig) -> std::io::Result<()> {
-    use datc_rx::online::OnlineReconSelect;
-
     let invalid = |what: &str| {
         Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             format!("invalid hub config: {what}"),
         ))
     };
-    let positive = |v: f64| v > 0.0 && v.is_finite();
 
     if config.session.force_window == Some(0) {
         return invalid("force_window must be positive (use None for unbounded)");
@@ -1325,36 +1324,11 @@ pub(crate) fn validate_config(config: &HubConfig) -> std::io::Result<()> {
     if config.session.feedback_every == Some(Duration::ZERO) {
         return invalid("feedback_every must be positive (use None to disable feedback)");
     }
-    if !positive(config.session.output_fs) {
-        return invalid("output_fs must be positive and finite");
-    }
-    match &config.session.recon {
-        OnlineReconSelect::Rate { window_s } if !positive(*window_s) => {
-            invalid("rate window_s must be positive and finite")
-        }
-        OnlineReconSelect::Ewma { tau_s } if !positive(*tau_s) => {
-            invalid("ewma tau_s must be positive and finite")
-        }
-        OnlineReconSelect::ThresholdTrack {
-            smooth_window_s, ..
-        } if !positive(*smooth_window_s) => {
-            invalid("threshold-track smooth_window_s must be positive and finite")
-        }
-        OnlineReconSelect::Hybrid {
-            smooth_window_s,
-            rate_window_s,
-            rate0_hz,
-            rate0_calib_s,
-            ..
-        } if !positive(*smooth_window_s)
-            || !positive(*rate_window_s)
-            || rate0_hz.is_some_and(|r| !positive(r))
-            || rate0_calib_s.is_some_and(|c| !positive(c)) =>
-        {
-            invalid("hybrid windows, rate0_hz and rate0_calib_s must be positive and finite")
-        }
-        _ => Ok(()),
-    }
+    config
+        .session
+        .recon
+        .validate(config.session.output_fs)
+        .or_else(|reason| invalid(&reason))
 }
 
 /// Builds the session header a fleet encode announces.

@@ -666,7 +666,7 @@ mod tests {
     #[test]
     fn configs_that_would_panic_in_the_receive_thread_are_rejected_at_bind() {
         use crate::session::SessionRxConfig;
-        use datc_rx::online::OnlineReconSelect;
+        use datc_rx::online::{OnlineReconSelect, Rate0};
 
         let session = |recon: OnlineReconSelect| SessionRxConfig {
             recon,
@@ -708,8 +708,7 @@ mod tests {
                     smooth_window_s: 0.75,
                     rate_window_s: 0.75,
                     alpha: 1.0,
-                    rate0_hz: Some(0.0),
-                    rate0_calib_s: None,
+                    rate0: Rate0::Pinned(0.0),
                 }),
                 ..HubConfig::default()
             },
@@ -719,8 +718,7 @@ mod tests {
                     smooth_window_s: 0.75,
                     rate_window_s: 0.75,
                     alpha: 1.0,
-                    rate0_hz: None,
-                    rate0_calib_s: Some(-1.0),
+                    rate0: Rate0::Calibrate(-1.0),
                 }),
                 ..HubConfig::default()
             },
