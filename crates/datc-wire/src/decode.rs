@@ -70,8 +70,8 @@ pub struct ChannelWireStats {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireStats {
-    // NOTE: keep the flat counters in sync with `WireCounters` and
-    // `WireStats::merge`.
+    // NOTE: the flat counters mirror `WireCounters`, the decoder's own
+    // books; keep them and `WireStats::merge` in sync with it.
     /// Valid frames accepted (all types).
     pub frames: u64,
     /// DATA frames dropped as duplicates (index span already covered or
@@ -183,9 +183,10 @@ impl WireStats {
     }
 }
 
-/// The flat decoder counters as one `Copy` view — what instrumentation
-/// syncs into a metrics registry every read without paying
-/// [`stats`](StreamDecoder::stats)'s per-channel clone.
+/// The flat decoder counters as one `Copy` value — the decoder's own
+/// books, and what instrumentation syncs into a metrics registry every
+/// read without paying [`stats`](StreamDecoder::stats)'s per-channel
+/// clone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireCounters {
     /// Valid frames accepted (all types).
@@ -264,7 +265,6 @@ pub struct StreamDecoder {
     bye: Option<ByeSummary>,
     /// Reorder buffer keyed by first event index.
     pending: BTreeMap<u64, PendingPacket>,
-    pending_events: u64,
     reorder_window: usize,
     /// Memory budget for parked packets, in [`PARKED_EVENT_BYTES`]
     /// units (`None` = bounded only by the packet-count window).
@@ -280,18 +280,7 @@ pub struct StreamDecoder {
     /// Varint decode selection (SWAR fast path vs scalar reference).
     varint: VarintPolicy,
     watermark_s: f64,
-    // counters
-    frames: u64,
-    duplicate_frames: u64,
-    crc_failures: u64,
-    resync_bytes: u64,
-    malformed_frames: u64,
-    orphan_frames: u64,
-    foreign_frames: u64,
-    events_decoded: u64,
-    events_lost: u64,
-    gaps: u64,
-    parked_shed_events: u64,
+    counters: WireCounters,
     closed: bool,
     per_channel_received: Vec<u64>,
 }
@@ -324,7 +313,6 @@ impl StreamDecoder {
             nonce: None,
             bye: None,
             pending: BTreeMap::new(),
-            pending_events: 0,
             reorder_window: window.max(1),
             parked_bytes_cap: None,
             next_index: 0,
@@ -332,17 +320,7 @@ impl StreamDecoder {
             scratch: EventBatch::new(),
             varint: VarintPolicy::default(),
             watermark_s: 0.0,
-            frames: 0,
-            duplicate_frames: 0,
-            crc_failures: 0,
-            resync_bytes: 0,
-            malformed_frames: 0,
-            orphan_frames: 0,
-            foreign_frames: 0,
-            events_decoded: 0,
-            events_lost: 0,
-            gaps: 0,
-            parked_shed_events: 0,
+            counters: WireCounters::default(),
             closed: false,
             per_channel_received: Vec::new(),
         }
@@ -397,7 +375,9 @@ impl StreamDecoder {
     /// a garbage flood scores at least one point per read/datagram
     /// (see [`HubConfig::malformed_budget`](crate::gateway::HubConfig::malformed_budget)).
     pub fn framing_garbage(&self) -> u64 {
-        self.crc_failures + self.malformed_frames + self.resync_bytes / 64
+        self.counters.crc_failures
+            + self.counters.malformed_frames
+            + self.counters.resync_bytes / 64
     }
 
     /// Highest event timestamp released so far — a valid watermark for
@@ -442,8 +422,8 @@ impl StreamDecoder {
         Some(FeedbackSummary {
             nonce,
             next_index: self.next_index,
-            events_lost: self.events_lost,
-            reorder_depth: self.pending_events,
+            events_lost: self.counters.events_lost,
+            reorder_depth: self.counters.pending_events,
             pressure,
             holes,
         })
@@ -472,9 +452,9 @@ impl StreamDecoder {
                 ParseOutcome::NeedMore => break,
                 ParseOutcome::Skip { skip, crc_failure } => {
                     self.consumed += skip;
-                    self.resync_bytes += skip as u64;
+                    self.counters.resync_bytes += skip as u64;
                     if crc_failure {
-                        self.crc_failures += 1;
+                        self.counters.crc_failures += 1;
                     }
                 }
                 ParseOutcome::Frame { frame, consumed } => {
@@ -485,7 +465,7 @@ impl StreamDecoder {
                     let payload_start = self.consumed + crate::frame::HEADER_LEN;
                     let payload = payload_start..payload_start + frame.payload.len();
                     self.consumed += consumed;
-                    self.frames += 1;
+                    self.counters.frames += 1;
                     match ftype {
                         FrameType::Hello => self.on_hello(payload),
                         FrameType::DataV2 => self.on_data_v2(payload),
@@ -533,7 +513,7 @@ impl StreamDecoder {
         while self.consumed < self.buf.len() {
             let skip = SYNC.len().min(self.buf.len() - self.consumed);
             self.consumed += skip;
-            self.resync_bytes += skip as u64;
+            self.counters.resync_bytes += skip as u64;
             self.parse_buffered();
         }
         self.close_books();
@@ -548,8 +528,8 @@ impl StreamDecoder {
         if let Some(bye) = &self.bye {
             // Tail loss: everything sent after the last released event.
             if bye.total_events > self.next_index {
-                self.events_lost += bye.total_events - self.next_index;
-                self.gaps += 1;
+                self.counters.events_lost += bye.total_events - self.next_index;
+                self.counters.gaps += 1;
                 self.next_index = bye.total_events;
             }
         }
@@ -573,19 +553,20 @@ impl StreamDecoder {
                 }
             })
             .collect();
+        let c = self.counters;
         WireStats {
-            frames: self.frames,
-            duplicate_frames: self.duplicate_frames,
-            crc_failures: self.crc_failures,
-            resync_bytes: self.resync_bytes,
-            malformed_frames: self.malformed_frames,
-            orphan_frames: self.orphan_frames,
-            foreign_frames: self.foreign_frames,
-            events_decoded: self.events_decoded,
-            events_lost: self.events_lost,
-            gaps: self.gaps,
-            pending_events: self.pending_events,
-            parked_shed_events: self.parked_shed_events,
+            frames: c.frames,
+            duplicate_frames: c.duplicate_frames,
+            crc_failures: c.crc_failures,
+            resync_bytes: c.resync_bytes,
+            malformed_frames: c.malformed_frames,
+            orphan_frames: c.orphan_frames,
+            foreign_frames: c.foreign_frames,
+            events_decoded: c.events_decoded,
+            events_lost: c.events_lost,
+            gaps: c.gaps,
+            pending_events: c.pending_events,
+            parked_shed_events: c.parked_shed_events,
             closed: self.closed,
             per_channel,
         }
@@ -596,25 +577,12 @@ impl StreamDecoder {
     /// [`stats`](StreamDecoder::stats), which clones per-channel
     /// tallies).
     pub fn counters(&self) -> WireCounters {
-        WireCounters {
-            frames: self.frames,
-            duplicate_frames: self.duplicate_frames,
-            crc_failures: self.crc_failures,
-            resync_bytes: self.resync_bytes,
-            malformed_frames: self.malformed_frames,
-            orphan_frames: self.orphan_frames,
-            foreign_frames: self.foreign_frames,
-            events_decoded: self.events_decoded,
-            events_lost: self.events_lost,
-            gaps: self.gaps,
-            pending_events: self.pending_events,
-            parked_shed_events: self.parked_shed_events,
-        }
+        self.counters
     }
 
     fn on_hello(&mut self, payload: std::ops::Range<usize>) {
         let Some(header) = SessionHeader::decode(&self.buf[payload]) else {
-            self.malformed_frames += 1;
+            self.counters.malformed_frames += 1;
             return;
         };
         match &self.session {
@@ -623,14 +591,14 @@ impl StreamDecoder {
                 self.nonce = Some(header.nonce());
                 self.session = Some(header);
             }
-            Some(existing) if *existing == header => self.duplicate_frames += 1,
-            Some(_) => self.malformed_frames += 1, // conflicting re-handshake
+            Some(existing) if *existing == header => self.counters.duplicate_frames += 1,
+            Some(_) => self.counters.malformed_frames += 1, // conflicting re-handshake
         }
     }
 
     fn on_data(&mut self, payload: std::ops::Range<usize>) {
         let Some(session) = self.session else {
-            self.orphan_frames += 1;
+            self.counters.orphan_frames += 1;
             return;
         };
         // Decode straight into the reused scratch arena — column-wise,
@@ -640,7 +608,7 @@ impl StreamDecoder {
         self.scratch.clear();
         let Some(first) = decode_data_into_with(&self.buf[payload], &mut self.scratch, self.varint)
         else {
-            self.malformed_frames += 1;
+            self.counters.malformed_frames += 1;
             return;
         };
         if self.scratch.is_empty() {
@@ -652,22 +620,22 @@ impl StreamDecoder {
             .iter()
             .any(|&addr| u16::from(addr) >= session.n_channels)
         {
-            self.malformed_frames += 1;
+            self.counters.malformed_frames += 1;
             return;
         }
         let n = self.scratch.len() as u64;
         let Some(end) = first.checked_add(n) else {
-            self.malformed_frames += 1;
+            self.counters.malformed_frames += 1;
             return;
         };
 
         if end <= self.next_index {
             // Entirely before the release point: duplicate or too late.
-            self.duplicate_frames += 1;
+            self.counters.duplicate_frames += 1;
         } else if first < self.next_index {
             // Partial overlap cannot come from an honest transmitter
             // (gaps are declared on packet boundaries).
-            self.malformed_frames += 1;
+            self.counters.malformed_frames += 1;
         } else if first == self.next_index {
             self.release_scratch(first, session.tick_period_s);
             self.flush_pending();
@@ -677,12 +645,12 @@ impl StreamDecoder {
             // pays the allocation, not the in-order path).
             use std::collections::btree_map::Entry;
             match self.pending.entry(first) {
-                Entry::Occupied(_) => self.duplicate_frames += 1,
+                Entry::Occupied(_) => self.counters.duplicate_frames += 1,
                 Entry::Vacant(slot) => {
                     slot.insert(PendingPacket {
                         batch: self.scratch.take(),
                     });
-                    self.pending_events += n;
+                    self.counters.pending_events += n;
                 }
             }
             while self.pending.len() > self.reorder_window {
@@ -694,7 +662,7 @@ impl StreamDecoder {
             // parked packets even when the packet-count window would
             // hold them (hostile reorder with huge packets).
             if let Some(cap) = self.parked_bytes_cap {
-                while self.pending_events as usize * PARKED_EVENT_BYTES > cap
+                while self.counters.pending_events as usize * PARKED_EVENT_BYTES > cap
                     && !self.pending.is_empty()
                 {
                     let oldest = self
@@ -702,7 +670,7 @@ impl StreamDecoder {
                         .values()
                         .next()
                         .map_or(0, |p| p.batch.len() as u64);
-                    self.parked_shed_events += oldest;
+                    self.counters.parked_shed_events += oldest;
                     self.pop_parked(true);
                     self.flush_pending();
                 }
@@ -722,13 +690,13 @@ impl StreamDecoder {
         };
         let pkt = self.pending.remove(&first).expect("key just read");
         let n = pkt.batch.len() as u64;
-        self.pending_events -= n;
+        self.counters.pending_events -= n;
         if first + n <= self.next_index {
-            self.duplicate_frames += 1;
+            self.counters.duplicate_frames += 1;
         } else if first < self.next_index {
             // Overlaps delivered events: no honest transmitter emits
             // this (gaps align with packet boundaries).
-            self.malformed_frames += 1;
+            self.counters.malformed_frames += 1;
         } else {
             if declare_gap {
                 self.declare_gap_to(first);
@@ -746,15 +714,15 @@ impl StreamDecoder {
     /// the rest of the payload goes to [`on_data`](Self::on_data).
     fn on_data_v2(&mut self, payload: std::ops::Range<usize>) {
         let Some(expected) = self.nonce else {
-            self.orphan_frames += 1;
+            self.counters.orphan_frames += 1;
             return;
         };
         let Some(&nonce) = self.buf[payload.clone()].first() else {
-            self.malformed_frames += 1;
+            self.counters.malformed_frames += 1;
             return;
         };
         if nonce != expected {
-            self.foreign_frames += 1;
+            self.counters.foreign_frames += 1;
             return;
         }
         self.on_data(payload.start + 1..payload.end);
@@ -762,19 +730,19 @@ impl StreamDecoder {
 
     fn on_bye(&mut self, payload: std::ops::Range<usize>) {
         let Some(session) = self.session else {
-            self.orphan_frames += 1;
+            self.counters.orphan_frames += 1;
             return;
         };
         let Some(bye) = ByeSummary::decode(&self.buf[payload]) else {
-            self.malformed_frames += 1;
+            self.counters.malformed_frames += 1;
             return;
         };
         if bye.per_channel.len() != usize::from(session.n_channels) {
-            self.malformed_frames += 1;
+            self.counters.malformed_frames += 1;
             return;
         }
         if self.closed {
-            self.duplicate_frames += 1;
+            self.counters.duplicate_frames += 1;
             return;
         }
         self.bye = Some(bye);
@@ -794,8 +762,8 @@ impl StreamDecoder {
 
     fn declare_gap_to(&mut self, first: u64) {
         if first > self.next_index {
-            self.events_lost += first - self.next_index;
-            self.gaps += 1;
+            self.counters.events_lost += first - self.next_index;
+            self.counters.gaps += 1;
             self.next_index = first;
         }
     }
@@ -813,7 +781,7 @@ impl StreamDecoder {
         debug_assert_eq!(first, self.next_index);
         let n = batch.len() as u64;
         self.next_index = first + n;
-        self.events_decoded += n;
+        self.counters.events_decoded += n;
         for &addr in batch.addrs() {
             if let Some(c) = self.per_channel_received.get_mut(usize::from(addr)) {
                 *c += 1;
