@@ -30,6 +30,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use datc_bench::timing::{interleaved_ratio, measure, median};
 use datc_core::bank::{BankEventSink, BankStream, SimdPolicy, TilePolicy};
 use datc_core::comparator::Comparator;
 use datc_core::config::DatcConfig;
@@ -41,82 +42,6 @@ use datc_obs::Registry;
 use datc_signal::generator::semg_fleet;
 use datc_signal::resample::ZohResampler;
 use datc_signal::Signal;
-
-/// Times `f` with best-of-`samples` after calibrating an inner iteration
-/// count to ≥ `target_ms` per sample. Returns seconds per call.
-fn measure<F: FnMut() -> u64>(mut f: F, samples: u32, target_ms: u64) -> f64 {
-    let target = std::time::Duration::from_millis(target_ms);
-    let mut iters = 1u64;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= target || iters >= 1 << 16 {
-            break;
-        }
-        iters = if elapsed.is_zero() {
-            iters * 8
-        } else {
-            ((iters as f64 * target.as_secs_f64() / elapsed.as_secs_f64()) as u64)
-                .clamp(iters + 1, 1 << 16)
-        };
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
-}
-
-/// Median of per-round `a/b` timing ratios where `a()` and `b()` run
-/// back to back inside each round, execution order alternating between
-/// rounds — the drift-cancelling measurement every headline ratio uses
-/// (back-to-back cancels slow frequency drift; alternation cancels any
-/// residual first-in-round bias).
-fn interleaved_ratio<A: FnMut() -> u64, B: FnMut() -> u64>(
-    mut a: A,
-    mut b: B,
-    rounds: usize,
-) -> (f64, f64, f64) {
-    let mut ratios = Vec::with_capacity(rounds);
-    let mut a_secs = Vec::with_capacity(rounds);
-    let mut b_secs = Vec::with_capacity(rounds);
-    let time = |f: &mut dyn FnMut() -> u64| {
-        let t = Instant::now();
-        black_box(f());
-        t.elapsed().as_secs_f64()
-    };
-    for round in 0..rounds {
-        let (ta, tb) = if round % 2 == 0 {
-            let ta = time(&mut a);
-            let tb = time(&mut b);
-            (ta, tb)
-        } else {
-            let tb = time(&mut b);
-            let ta = time(&mut a);
-            (ta, tb)
-        };
-        ratios.push(ta / tb);
-        a_secs.push(ta);
-        b_secs.push(tb);
-    }
-    (
-        median(&mut ratios),
-        median(&mut a_secs),
-        median(&mut b_secs),
-    )
-}
-
-fn median(v: &mut [f64]) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    v[v.len() / 2]
-}
 
 /// The mixed non-ideal comparator population the noisy-fleet
 /// measurements use: offsets, hysteresis and noise in realistic analog
@@ -207,6 +132,7 @@ fn main() {
         },
         samples,
         target_ms,
+        1 << 16,
     );
     let single_chunk_rate = ticks_per_channel as f64 / single_chunk;
     println!(
@@ -230,6 +156,7 @@ fn main() {
         },
         samples,
         target_ms,
+        1 << 16,
     );
     let serial_default_rate = (serial_channels as u64 * ticks_per_channel) as f64 / serial_default;
     println!(
@@ -247,6 +174,7 @@ fn main() {
         },
         samples,
         target_ms,
+        1 << 16,
     );
     let serial_rate = (serial_channels as u64 * ticks_per_channel) as f64 / serial;
     println!(
@@ -267,6 +195,7 @@ fn main() {
                 || runner.encode(subset).total_events() as u64,
                 samples,
                 target_ms,
+                1 << 16,
             );
             let rate = (n as u64 * ticks_per_channel) as f64 / secs;
             println!(

@@ -14,6 +14,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use datc_bench::timing::{interleaved_ratio, measure, median};
 use datc_core::config::DatcConfig;
 use datc_core::encoder::TraceLevel;
 use datc_engine::FleetRunner;
@@ -28,82 +29,6 @@ use datc_wire::packet::{encode_session, Packetizer, SessionHeader};
 use datc_wire::session::{SessionRx, SessionRxConfig};
 use datc_wire::udp::{UdpPacing, UdpSessionSender, UdpTelemetryHub};
 use datc_wire::{EventBatch, StreamDecoder};
-
-/// Times `f` best-of-`samples` with an inner iteration count calibrated
-/// to ≥ `target_ms`. Returns seconds per call.
-fn measure<F: FnMut() -> u64>(mut f: F, samples: u32, target_ms: u64) -> f64 {
-    let target = std::time::Duration::from_millis(target_ms);
-    let mut iters = 1u64;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= target || iters >= 1 << 14 {
-            break;
-        }
-        iters = if elapsed.is_zero() {
-            iters * 8
-        } else {
-            ((iters as f64 * target.as_secs_f64() / elapsed.as_secs_f64()) as u64)
-                .clamp(iters + 1, 1 << 14)
-        };
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
-}
-
-/// Median of per-round `a/b` timing ratios where `a()` and `b()` run
-/// back to back inside each round, execution order alternating between
-/// rounds (back-to-back cancels slow frequency drift; alternation
-/// cancels any residual first-in-round bias). Same scheme as
-/// `bench_fleet`'s headline ratios.
-fn interleaved_ratio<A: FnMut() -> u64, B: FnMut() -> u64>(
-    mut a: A,
-    mut b: B,
-    rounds: usize,
-) -> (f64, f64, f64) {
-    let mut ratios = Vec::with_capacity(rounds);
-    let mut a_secs = Vec::with_capacity(rounds);
-    let mut b_secs = Vec::with_capacity(rounds);
-    let time = |f: &mut dyn FnMut() -> u64| {
-        let t = Instant::now();
-        black_box(f());
-        t.elapsed().as_secs_f64()
-    };
-    for round in 0..rounds {
-        let (ta, tb) = if round % 2 == 0 {
-            let ta = time(&mut a);
-            let tb = time(&mut b);
-            (ta, tb)
-        } else {
-            let tb = time(&mut b);
-            let ta = time(&mut a);
-            (ta, tb)
-        };
-        ratios.push(ta / tb);
-        a_secs.push(ta);
-        b_secs.push(tb);
-    }
-    (
-        median(&mut ratios),
-        median(&mut a_secs),
-        median(&mut b_secs),
-    )
-}
-
-fn median(v: &mut [f64]) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    v[v.len() / 2]
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -236,6 +161,7 @@ fn main() {
         },
         samples,
         40,
+        1 << 14,
     );
     let degraded_rate = degraded_events as f64 / degraded_secs;
     println!("degraded decode           {degraded_rate:>14.0} events/s (5% loss + reorder)");

@@ -13,6 +13,103 @@ pub fn full_scale() -> bool {
         .unwrap_or(false)
 }
 
+pub mod timing {
+    //! The timing helpers of the hand-rolled JSON benches (`bench_fleet`,
+    //! `bench_wire`, `bench_workload`).
+
+    use std::hint::black_box;
+    use std::time::{Duration, Instant};
+
+    /// Times `f` best-of-`samples` after calibrating an inner iteration
+    /// count to ≥ `target_ms` per sample, capped at `max_iters`. Returns
+    /// seconds per call.
+    pub fn measure<F: FnMut() -> u64>(
+        mut f: F,
+        samples: u32,
+        target_ms: u64,
+        max_iters: u64,
+    ) -> f64 {
+        let target = Duration::from_millis(target_ms);
+        let mut iters = 1u64;
+        loop {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            let elapsed = start.elapsed();
+            if elapsed >= target || iters >= max_iters {
+                break;
+            }
+            iters = if elapsed.is_zero() {
+                iters * 8
+            } else {
+                ((iters as f64 * target.as_secs_f64() / elapsed.as_secs_f64()) as u64)
+                    .clamp(iters + 1, max_iters)
+            };
+        }
+        let mut best = f64::INFINITY;
+        for _ in 0..samples {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            best = best.min(start.elapsed().as_secs_f64() / iters as f64);
+        }
+        best
+    }
+
+    /// Median of per-round `a/b` timing ratios where `a()` and `b()` run
+    /// back to back inside each round, execution order alternating
+    /// between rounds — the drift-cancelling measurement every headline
+    /// ratio uses (back-to-back cancels slow frequency drift; alternation
+    /// cancels any residual first-in-round bias). Returns the median
+    /// ratio and the median seconds of `a` and of `b`.
+    pub fn interleaved_ratio<A: FnMut() -> u64, B: FnMut() -> u64>(
+        mut a: A,
+        mut b: B,
+        rounds: usize,
+    ) -> (f64, f64, f64) {
+        let mut ratios = Vec::with_capacity(rounds);
+        let mut a_secs = Vec::with_capacity(rounds);
+        let mut b_secs = Vec::with_capacity(rounds);
+        let time = |f: &mut dyn FnMut() -> u64| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64()
+        };
+        for round in 0..rounds {
+            let (ta, tb) = if round % 2 == 0 {
+                let ta = time(&mut a);
+                let tb = time(&mut b);
+                (ta, tb)
+            } else {
+                let tb = time(&mut b);
+                let ta = time(&mut a);
+                (ta, tb)
+            };
+            ratios.push(ta / tb);
+            a_secs.push(ta);
+            b_secs.push(tb);
+        }
+        (
+            median(&mut ratios),
+            median(&mut a_secs),
+            median(&mut b_secs),
+        )
+    }
+
+    /// The median of `v` (the upper one for an even length), sorting `v`
+    /// in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `v` is empty or holds a NaN.
+    pub fn median(v: &mut [f64]) -> f64 {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        v[v.len() / 2]
+    }
+}
+
 pub mod regression {
     //! The CI perf-regression gate: compares a freshly written
     //! `BENCH_*.quick.json` artifact against the committed baseline and
