@@ -719,10 +719,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        not(feature = "metrics"),
-        ignore = "counters are no-ops with metrics off"
-    )]
     fn metrics_accumulate_across_cold_and_sustained_encodes() {
         use datc_obs::MetricValue;
         let reg = datc_obs::Registry::new();

@@ -127,10 +127,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        not(feature = "metrics"),
-        ignore = "counters are no-ops with metrics off"
-    )]
     fn note_encode_publishes_throughput_totals() {
         let reg = Registry::new();
         let obs = FleetObs::register(&reg);

@@ -165,7 +165,6 @@ mod tests {
     /// naming, ordering, or histogram rendering must show up here as a
     /// deliberate golden update.
     #[test]
-    #[cfg(feature = "metrics")]
     fn prometheus_golden_format() {
         let expected = "\
 # TYPE datc_hub_sessions_in_flight gauge
@@ -188,7 +187,6 @@ datc_session_latency_ticks_count{session=\"3\"} 5
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn json_golden_format() {
         let expected = "\
 {

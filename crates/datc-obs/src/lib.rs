@@ -26,10 +26,6 @@
 //! pair returns a handle to the same metric, so independent components
 //! can share tallies without coordination.
 //!
-//! Disabling the default `metrics` feature compiles every mutation to a
-//! no-op (registration and export still work; values stay zero) — the
-//! kill switch for measuring instrumentation overhead floors.
-//!
 //! # Example
 //!
 //! ```
@@ -41,10 +37,8 @@
 //! let lat = reg.histogram_with("datc_session_latency_ticks", &[("session", "7")]);
 //! lat.observe(12);
 //! let text = render_prometheus(&reg);
-//! # if cfg!(feature = "metrics") {
 //! assert!(text.contains("datc_rx_frames_total 3"));
 //! assert!(text.contains("datc_session_latency_ticks_count{session=\"7\"} 1"));
-//! # }
 //! ```
 
 #![deny(missing_docs)]

@@ -32,18 +32,12 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "metrics")]
         self.v.fetch_add(n, RELAXED);
-        #[cfg(not(feature = "metrics"))]
-        let _ = n;
     }
 
     /// Publishes an externally maintained monotonic total (overwrites).
     pub fn store(&self, total: u64) {
-        #[cfg(feature = "metrics")]
         self.v.store(total, RELAXED);
-        #[cfg(not(feature = "metrics"))]
-        let _ = total;
     }
 
     /// Current value.
@@ -61,10 +55,7 @@ pub struct Gauge {
 impl Gauge {
     /// Sets the gauge.
     pub fn set(&self, value: f64) {
-        #[cfg(feature = "metrics")]
         self.bits.store(value.to_bits(), RELAXED);
-        #[cfg(not(feature = "metrics"))]
-        let _ = value;
     }
 
     /// Current value (0.0 until first set).
@@ -110,15 +101,10 @@ pub struct Histogram {
 impl Histogram {
     /// Records one observation.
     pub fn observe(&self, value: u64) {
-        #[cfg(feature = "metrics")]
-        {
-            let bucket = (64 - value.leading_zeros()) as usize;
-            self.inner.buckets[bucket].fetch_add(1, RELAXED);
-            self.inner.count.fetch_add(1, RELAXED);
-            self.inner.sum.fetch_add(value, RELAXED);
-        }
-        #[cfg(not(feature = "metrics"))]
-        let _ = value;
+        let bucket = (64 - value.leading_zeros()) as usize;
+        self.inner.buckets[bucket].fetch_add(1, RELAXED);
+        self.inner.count.fetch_add(1, RELAXED);
+        self.inner.sum.fetch_add(value, RELAXED);
     }
 
     /// Records a batch of observations in one pass: buckets accumulate
@@ -127,29 +113,24 @@ impl Histogram {
     /// local increment instead of three shared-cache atomics. Use this
     /// on per-event hot paths.
     pub fn observe_iter<I: IntoIterator<Item = u64>>(&self, values: I) {
-        #[cfg(feature = "metrics")]
-        {
-            let mut local = [0u64; BUCKETS];
-            let mut count = 0u64;
-            let mut sum = 0u64;
-            for v in values {
-                local[(64 - v.leading_zeros()) as usize] += 1;
-                count += 1;
-                sum = sum.wrapping_add(v);
-            }
-            if count == 0 {
-                return;
-            }
-            for (bucket, &n) in local.iter().enumerate() {
-                if n > 0 {
-                    self.inner.buckets[bucket].fetch_add(n, RELAXED);
-                }
-            }
-            self.inner.count.fetch_add(count, RELAXED);
-            self.inner.sum.fetch_add(sum, RELAXED);
+        let mut local = [0u64; BUCKETS];
+        let mut count = 0u64;
+        let mut sum = 0u64;
+        for v in values {
+            local[(64 - v.leading_zeros()) as usize] += 1;
+            count += 1;
+            sum = sum.wrapping_add(v);
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = values;
+        if count == 0 {
+            return;
+        }
+        for (bucket, &n) in local.iter().enumerate() {
+            if n > 0 {
+                self.inner.buckets[bucket].fetch_add(n, RELAXED);
+            }
+        }
+        self.inner.count.fetch_add(count, RELAXED);
+        self.inner.sum.fetch_add(sum, RELAXED);
     }
 
     /// Merges a pre-bucketed batch: `counts[i]` observations landing in
@@ -158,23 +139,18 @@ impl Histogram {
     /// can bucket analytically — e.g. monotone data partitioned by
     /// binary-searched thresholds — without touching every value.
     pub fn observe_bucketed(&self, counts: &[u64; BUCKETS], sum: u64) {
-        #[cfg(feature = "metrics")]
-        {
-            let mut total = 0u64;
-            for (bucket, &n) in counts.iter().enumerate() {
-                if n > 0 {
-                    self.inner.buckets[bucket].fetch_add(n, RELAXED);
-                    total += n;
-                }
+        let mut total = 0u64;
+        for (bucket, &n) in counts.iter().enumerate() {
+            if n > 0 {
+                self.inner.buckets[bucket].fetch_add(n, RELAXED);
+                total += n;
             }
-            if total == 0 {
-                return;
-            }
-            self.inner.count.fetch_add(total, RELAXED);
-            self.inner.sum.fetch_add(sum, RELAXED);
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (counts, sum);
+        if total == 0 {
+            return;
+        }
+        self.inner.count.fetch_add(total, RELAXED);
+        self.inner.sum.fetch_add(sum, RELAXED);
     }
 
     /// Total observations.
@@ -456,7 +432,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn counters_accumulate_and_share_by_identity() {
         let reg = Registry::new();
         let a = reg.counter("datc_test_total");
@@ -471,7 +446,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn batched_observation_paths_match_observe() {
         let values: Vec<u64> = vec![0, 1, 1, 2, 3, 7, 8, 1023, 1024, u64::MAX];
         let reference = Histogram::default();
@@ -505,7 +479,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn counter_store_publishes_local_tallies() {
         let reg = Registry::new();
         let c = reg.counter("datc_synced_total");
@@ -518,7 +491,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn gauges_hold_floats() {
         let reg = Registry::new();
         let g = reg.gauge("datc_rate");
@@ -530,7 +502,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn histogram_buckets_are_powers_of_two() {
         let reg = Registry::new();
         let h = reg.histogram("datc_lat_ticks");
@@ -560,7 +531,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn histogram_snapshots_are_reproducible() {
         let fill = || {
             let h = Histogram::default();
@@ -573,7 +543,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn remove_retires_a_metric() {
         let reg = Registry::new();
         let g = reg.gauge_with("datc_session_bytes", &[("session", "9")]);
@@ -600,7 +569,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn registry_clones_share_state() {
         let reg = Registry::new();
         let alias = reg.clone();

@@ -6,8 +6,8 @@
 //! [`UdpPacing`] keeps firing into a congested hub, and an event lost
 //! to a transient drop stays lost even though the sender still holds
 //! the bytes. This module closes both loops with the receiver's own
-//! books (the [`FeedbackSummary`] snapshots hubs write back on the
-//! reverse path):
+//! books (the [`FeedbackSummary`] snapshots the UDP hub writes back on
+//! the reverse path):
 //!
 //! * [`AimdController`] — classic additive-increase /
 //!   multiplicative-decrease: every clean feedback (no new loss, hub

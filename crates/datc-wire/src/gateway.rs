@@ -8,10 +8,11 @@
 //! each running through its session's
 //! [`SessionRx`](crate::session::SessionRx) pipeline (decode → demux →
 //! online reconstruct); the acceptor ticks it every poll quantum and
-//! writes the FEEDBACK it answers with. Finished sessions land in a
-//! shared [`SessionTable`] the owner inspects with
-//! [`TelemetryHub::snapshot`]. The same table (and the same conn-id
-//! space) can be shared with a
+//! closes the connections it retires. A TCP hub writes nothing back:
+//! FEEDBACK is a UDP matter, where it drives the sender's pacing and
+//! repair. Finished sessions land in a shared [`SessionTable`] the
+//! owner inspects with [`TelemetryHub::snapshot`]. The same table (and
+//! the same conn-id space) can be shared with a
 //! [`UdpTelemetryHub`](crate::udp::UdpTelemetryHub), so one operator
 //! view covers both transports. The transmit side is [`SessionSender`]
 //! (one session per connection) plus the [`stream_fleet`] convenience
@@ -68,7 +69,6 @@
 
 use crate::chaos::{self, ChaosLink, ChaosStats};
 use crate::decode::WireStats;
-use crate::frame::{parse_frame, FrameType, ParseOutcome};
 use crate::hub::{Action, HubCore};
 use crate::obs::{self, TxObs};
 use crate::packet::{Packetizer, SessionHeader};
@@ -112,11 +112,10 @@ pub const DEFAULT_RESUME_WINDOW: Duration = Duration::from_secs(5);
 pub const DEFAULT_BYE_GRACE: Duration = Duration::from_millis(10);
 
 /// Poll quantum of both hub shells: the TCP acceptor's accept poll and
-/// back-off after a failed accept, the UDP receive timeout (also its
+/// back-off after a failed accept, and the UDP receive timeout (also its
 /// post-stop drain quantum: the receive loop keeps decoding until one
-/// full quantum passes with the socket empty) and the bound on a
-/// FEEDBACK write; also the UDP sender's back-off when its drain cannot
-/// wait on the socket.
+/// full quantum passes with the socket empty); also the UDP sender's
+/// back-off when its drain cannot wait on the socket.
 pub(crate) const POLL: Duration = Duration::from_millis(2);
 
 /// Gateway tuning.
@@ -399,10 +398,11 @@ impl SessionTable {
 
     /// The hub pressure level stamped into FEEDBACK frames, derived
     /// from the shared health tallies: occupancy of the session cap
-    /// (in-flight vs `max_sessions`, scaled 0–255) plus a boost for
-    /// recent shedding/quarantine activity. An uncapped hub reports the
-    /// activity boost alone — it has no occupancy to measure. Cheap
-    /// (relaxed atomic reads), called on every hub tick.
+    /// (in-flight vs `max_sessions`, scaled 0–255) plus a boost of 16
+    /// per session shed or quarantined over the table's lifetime,
+    /// capped at 64. An uncapped hub reports the boost alone — it has
+    /// no occupancy to measure. Cheap (relaxed atomic reads), called on
+    /// every hub tick.
     pub fn pressure_level(&self, max_sessions: Option<usize>) -> u8 {
         let h = &self.health;
         let boost = 16u64
@@ -585,18 +585,21 @@ impl TelemetryHub {
 
     /// Binds a listener recording finished sessions into `table`
     /// (shareable with other hubs) and attaching a sink from
-    /// `sink_factory` to every accepted session.
+    /// `sink_factory` to every accepted session. The hub writes no
+    /// FEEDBACK, whatever
+    /// [`feedback_every`](SessionRxConfig::feedback_every) says.
     ///
     /// # Errors
     ///
     /// Propagates socket bind failures.
     pub fn bind_with<A: ToSocketAddrs>(
         addr: A,
-        config: HubConfig,
+        mut config: HubConfig,
         table: Arc<SessionTable>,
         sink_factory: Option<SinkFactory>,
     ) -> std::io::Result<TelemetryHub> {
         validate_config(&config)?;
+        config.session.feedback_every = None;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Hub::spawn(addr, table, move |table, stop| {
@@ -605,39 +608,28 @@ impl TelemetryHub {
     }
 }
 
-/// The TCP hub's [`HubCore`] and the write half of every open
-/// connection, shared by the acceptor and the connection readers.
+/// The TCP hub's [`HubCore`] and a handle on every open connection to
+/// close it by, shared by the acceptor and the connection readers.
 struct Shared {
     core: HubCore<u64>,
-    conns: HashMap<u64, Arc<TcpStream>>,
+    conns: HashMap<u64, TcpStream>,
     actions: Vec<Action<u64>>,
 }
 
 impl Shared {
-    /// Executes the core's actions: a closed connection is reported back
-    /// to the core at once, so nothing its reader still holds reaches
-    /// the core. FEEDBACK frames are handed back with their connection,
-    /// to be written once the lock is released; only `tick` answers
-    /// with any, so only the acceptor gets them.
-    fn execute(&mut self) -> Vec<(Arc<TcpStream>, Vec<u8>)> {
-        let mut sends = Vec::new();
+    /// Executes the core's closes, each reported back to the core at
+    /// once, so nothing the connection's reader still holds reaches the
+    /// core. The core sends nothing: the hub runs with FEEDBACK off.
+    fn execute(&mut self) {
         self.core.take_actions(&mut self.actions);
         for action in self.actions.drain(..) {
-            match action {
-                Action::Send(conn, frame) => {
-                    if let Some(writer) = self.conns.get(&conn) {
-                        sends.push((Arc::clone(writer), frame));
-                    }
-                }
-                Action::Close(conn) => {
-                    if let Some(writer) = self.conns.remove(&conn) {
-                        let _ = writer.shutdown(std::net::Shutdown::Both);
-                        self.core.on_close(conn, Instant::now());
-                    }
+            if let Action::Close(conn) = action {
+                if let Some(socket) = self.conns.remove(&conn) {
+                    let _ = socket.shutdown(std::net::Shutdown::Both);
+                    self.core.on_close(conn, Instant::now());
                 }
             }
         }
-        sends
     }
 }
 
@@ -676,21 +668,18 @@ fn accept_loop(listener: TcpListener, core: HubCore<u64>, stop: Arc<AtomicBool>)
                     }
                 };
                 // Readers block regardless of what the accepted socket
-                // inherited; a FEEDBACK write waits at most one poll
-                // quantum, outside the core's lock, so a sender that
-                // never drains its receive half delays only the ticks.
-                let Ok(writer) = socket.try_clone() else {
+                // inherited.
+                let Ok(handle) = socket.try_clone() else {
                     continue;
                 };
                 if socket.set_nonblocking(false).is_err() {
                     continue;
                 }
-                let _ = writer.set_write_timeout(Some(POLL));
                 let conn = next_conn;
                 next_conn += 1;
                 let served = {
                     let mut guard = shared.lock().expect("hub core poisoned");
-                    guard.conns.insert(conn, Arc::new(writer));
+                    guard.conns.insert(conn, handle);
                     guard.core.on_open(conn, Instant::now());
                     guard.execute();
                     guard.conns.contains_key(&conn)
@@ -705,16 +694,13 @@ fn accept_loop(listener: TcpListener, core: HubCore<u64>, stop: Arc<AtomicBool>)
                 }
             }
         }
-        let sends = {
+        {
             let mut guard = shared.lock().expect("hub core poisoned");
             guard.core.tick(Instant::now());
-            guard.execute()
-        };
-        for (writer, frame) in sends {
-            let _ = (&*writer).write_all(&frame); // best effort
+            guard.execute();
         }
-        // Waiting for the lock or a FEEDBACK write must not stretch the
-        // accept poll past its quantum.
+        // Waiting for the lock must not stretch the accept poll past its
+        // quantum.
         std::thread::sleep(POLL.saturating_sub(pass.elapsed()));
     }
     for h in readers {
@@ -1087,18 +1073,12 @@ impl<T: Transport> Sender<T> {
 pub type SessionSender = Sender<TcpTransport>;
 
 /// The TCP [`Transport`]: one connection, reconnected with the HELLO
-/// re-sent when a write fails, and FEEDBACK frames read back off its
-/// receive half.
+/// re-sent when a write fails.
 #[derive(Debug)]
 pub struct TcpTransport {
     socket: TcpStream,
     addrs: Vec<SocketAddr>,
     reconnects: u64,
-    /// Partial-frame buffer for FEEDBACK frames read off the duplex
-    /// connection (reads are non-blocking, frames can split).
-    fb_buf: Vec<u8>,
-    last_feedback: Option<crate::packet::FeedbackSummary>,
-    feedback_rx: u64,
 }
 
 fn connect_any(addrs: &[SocketAddr]) -> std::io::Result<TcpStream> {
@@ -1218,77 +1198,8 @@ impl SessionSender {
             socket,
             addrs,
             reconnects: 0,
-            fb_buf: Vec::new(),
-            last_feedback: None,
-            feedback_rx: 0,
         };
         Sender::open(transport, header, retry, u64::from(attempt))
-    }
-
-    /// Non-blockingly drains any FEEDBACK frames the hub wrote back on
-    /// the duplex connection and returns the newest summary, if a new
-    /// one arrived. Foreign-nonce reports (stale frames from a previous
-    /// session on a reused port) are discarded.
-    ///
-    /// Over TCP the report is *informational* — the transport's own
-    /// flow control already paces the byte stream and retransmits — so
-    /// nothing here adapts automatically; poll it to watch the
-    /// receiver's books converge (see
-    /// [`last_feedback`](SessionSender::last_feedback)). The UDP sender
-    /// is the one that closes the loop
-    /// ([`with_flow`](crate::udp::UdpSessionSender::with_flow)).
-    pub fn poll_feedback(&mut self) -> Option<crate::packet::FeedbackSummary> {
-        let tcp = &mut self.transport;
-        if tcp.socket.set_nonblocking(true).is_err() {
-            return None;
-        }
-        let mut buf = [0u8; 4096];
-        loop {
-            match tcp.socket.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => tcp.fb_buf.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        let _ = tcp.socket.set_nonblocking(false);
-        let nonce = self.core.packetizer.header().nonce();
-        let mut newest = None;
-        let mut off = 0usize;
-        loop {
-            match parse_frame(&tcp.fb_buf[off..]) {
-                ParseOutcome::Frame { frame, consumed } => {
-                    if frame.ftype == FrameType::Feedback {
-                        if let Some(fb) = crate::packet::FeedbackSummary::decode(frame.payload) {
-                            if fb.nonce == nonce {
-                                tcp.feedback_rx += 1;
-                                newest = Some(fb);
-                            }
-                        }
-                    }
-                    off += consumed;
-                }
-                ParseOutcome::Skip { skip, .. } => off += skip,
-                ParseOutcome::NeedMore => break,
-            }
-        }
-        tcp.fb_buf.drain(..off);
-        if newest.is_some() {
-            tcp.last_feedback.clone_from(&newest);
-        }
-        newest
-    }
-
-    /// The newest flow-control report
-    /// [`poll_feedback`](SessionSender::poll_feedback) has seen, if
-    /// any.
-    pub fn last_feedback(&self) -> Option<&crate::packet::FeedbackSummary> {
-        self.transport.last_feedback.as_ref()
-    }
-
-    /// FEEDBACK frames consumed over the session's lifetime.
-    pub fn feedback_rx(&self) -> u64 {
-        self.transport.feedback_rx
     }
 }
 
@@ -1376,6 +1287,7 @@ mod tests {
     use datc_core::{DatcConfig, Event, TraceLevel};
     use datc_engine::FleetRunner;
     use datc_signal::Signal;
+    use std::io::ErrorKind;
 
     fn hub() -> TelemetryHub {
         TelemetryHub::bind("127.0.0.1:0", HubConfig::default()).expect("bind loopback")
@@ -1448,7 +1360,7 @@ mod tests {
     }
 
     #[test]
-    fn hub_writes_feedback_back_down_the_duplex_connection() {
+    fn a_tcp_sender_gets_no_bytes_back_and_eof_after_its_bye() {
         let config = HubConfig {
             session: SessionRxConfig {
                 feedback_every: Some(Duration::from_millis(1)),
@@ -1464,34 +1376,37 @@ mod tests {
                 event: Event::at_tick(i * 9, header.tick_period_s, Some(2)),
             })
             .collect();
-        let mut tx = SessionSender::connect(hub.local_addr(), header).unwrap();
-        let mut newest = None;
-        for chunk in events.chunks(40) {
-            tx.send_events(chunk).unwrap();
-            std::thread::sleep(Duration::from_millis(3));
-            if let Some(fb) = tx.poll_feedback() {
-                newest = Some(fb);
-            }
+        let mut tx = Packetizer::new(header);
+        let mut client = TcpStream::connect(hub.local_addr()).unwrap();
+        client.write_all(&tx.hello()).unwrap();
+        client.write_all(&tx.data_frames(&events).concat()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while hub.health().sessions_started == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        wait_until(
-            || {
-                if let Some(fb) = tx.poll_feedback() {
-                    newest = Some(fb);
-                }
-                newest.as_ref().is_some_and(|fb| fb.next_index == 400)
-            },
-            "feedback converges on the full event count",
-        );
-        let fb = newest.expect("hub wrote feedback back");
-        assert_eq!(fb.nonce, header.nonce(), "report pinned to this session");
-        assert_eq!(fb.events_lost, 0, "clean link reports no loss");
-        assert_eq!(tx.last_feedback(), Some(&fb));
-        assert!(tx.feedback_rx() >= 1);
+        assert_eq!(hub.health().in_flight, 1, "the session is in flight");
+        // ten poll quanta, twenty feedback periods
+        std::thread::sleep(10 * POLL);
+        client
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut buf = [0u8; 64];
+        match client.read(&mut buf) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            other => panic!("the hub wrote back to a TCP sender: {other:?}"),
+        }
 
-        let client = tx.finish().unwrap();
-        assert_eq!(client.repairs, 0, "TCP senders never repair");
+        // whole books: the BYE retires the session and closes the
+        // connection, with still nothing written before the EOF
+        client.write_all(&tx.bye()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut rest = Vec::new();
+        assert!(matches!(client.read_to_end(&mut rest), Ok(0)), "{rest:?}");
         let sessions = hub.shutdown();
         assert_eq!(sessions.len(), 1);
+        assert!(sessions[0].report.stats.closed);
         assert_eq!(sessions[0].report.stats.events_decoded, 400);
     }
 
@@ -1593,18 +1508,6 @@ mod tests {
         assert_eq!(table.len(), 2);
     }
 
-    /// Polls `cond` every 2 ms for up to ~4 s, panicking with `what` on
-    /// timeout — for assertions against the hub's background threads.
-    fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
-        for _ in 0..2000 {
-            if cond() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        panic!("timed out waiting for: {what}");
-    }
-
     #[test]
     fn mid_session_disconnect_resumes_and_books_outage_as_loss() {
         let hub = hub();
@@ -1657,14 +1560,10 @@ mod tests {
         assert_eq!(s.report.stats.events_decoded + expected_lost, 2000);
         assert!(s.report.force_is_finite());
 
-        // Health counters are registry-backed and read zero with
-        // metrics off; the loss books above hold regardless.
-        if cfg!(feature = "metrics") {
-            let health = table.health();
-            assert_eq!(health.sessions_started, 1, "adoptions never double-count");
-            assert_eq!(health.resumed, client.reconnects);
-            assert_eq!(health.in_flight, 0);
-            assert_eq!(health.events_lost, expected_lost);
-        }
+        let health = table.health();
+        assert_eq!(health.sessions_started, 1, "adoptions never double-count");
+        assert_eq!(health.resumed, client.reconnects);
+        assert_eq!(health.in_flight, 0);
+        assert_eq!(health.events_lost, expected_lost);
     }
 }

@@ -6,9 +6,10 @@
 //! in [`udp`](crate::udp) — reads the socket, tells the core what
 //! happened and when (`on_open`, `on_bytes`, `on_close` of a peer, and
 //! `tick` as time passes), then executes the [`Action`]s the core
-//! answers with: write these FEEDBACK bytes to a peer, close a peer. The
-//! core reads no clock and touches no socket, so every rule below runs
-//! on a synthetic clock in the tests.
+//! answers with: write these FEEDBACK bytes to a peer (only the UDP hub
+//! runs with feedback on), close a peer. The core reads no clock and
+//! touches no socket, so every rule below runs on a synthetic clock in
+//! the tests.
 //!
 //! The rules are the [session lifecycle](crate::gateway#session-lifecycle)
 //! the gateway documents, plus one only a reconnect can reach: a first
@@ -556,10 +557,8 @@ mod tests {
         s.expect("session landed").report.stats.clone()
     }
 
-    /// Health counters are registry-backed and read zero with metrics
-    /// off; the session table itself is checked either way.
-    fn health(core: &HubCore<u32>) -> Option<HubHealth> {
-        cfg!(feature = "metrics").then(|| core.table.health())
+    fn health(core: &HubCore<u32>) -> HubHealth {
+        core.table.health()
     }
 
     /// A CRC-broken DATA frame.
@@ -590,16 +589,14 @@ mod tests {
             assert_eq!(table.len(), i + 1, "{reason:?} lands exactly one session");
             let landed = table.snapshot().into_iter().last().expect("just landed");
             assert_eq!(landed.bytes_received, wire.len() as u64);
-            if cfg!(feature = "metrics") {
-                let expected = HubHealth {
-                    sessions_finished: before.sessions_finished + 1,
-                    in_flight: before.in_flight - 1,
-                    evicted: before.evicted + evicted,
-                    quarantined: before.quarantined + quarantined,
-                    ..before
-                };
-                assert_eq!(table.health(), expected, "{reason:?}");
-            }
+            let expected = HubHealth {
+                sessions_finished: before.sessions_finished + 1,
+                in_flight: before.in_flight - 1,
+                evicted: before.evicted + evicted,
+                quarantined: before.quarantined + quarantined,
+                ..before
+            };
+            assert_eq!(table.health(), expected, "{reason:?}");
         }
     }
 
@@ -668,9 +665,8 @@ mod tests {
         assert!(s.closed && s.events_decoded == 30 && s.events_lost == 0);
         assert_eq!(core.table.len(), 2);
         assert!(core.live.is_empty() && core.pending.is_empty() && core.parked.is_empty());
-        if let Some(h) = health(&core) {
-            assert_eq!((h.sessions_finished, h.evicted, h.in_flight), (2, 0, 0));
-        }
+        let h = health(&core);
+        assert_eq!((h.sessions_finished, h.evicted, h.in_flight), (2, 0, 0));
     }
 
     #[test]
@@ -819,9 +815,7 @@ mod tests {
             !s.closed && s.events_decoded == 25,
             "evicted with open books"
         );
-        if let Some(h) = health(&core) {
-            assert_eq!(h.evicted, 1);
-        }
+        assert_eq!(health(&core).evicted, 1);
         assert_eq!(closes(&mut core), vec![1]);
         let end = t0 + 400 * MS;
         core.on_bytes(2, &bye_b, end);
@@ -865,9 +859,8 @@ mod tests {
         core.on_bytes(1, &bye, t0);
         assert_eq!(core.table.len(), 1, "only peer 1 got a session");
         assert_eq!(landed(&core, 1).events_decoded, 60);
-        if let Some(h) = health(&core) {
-            assert_eq!((h.shed, h.sessions_started), (3, 1));
-        }
+        let h = health(&core);
+        assert_eq!((h.shed, h.sessions_started), (3, 1));
     }
 
     #[test]
@@ -895,9 +888,7 @@ mod tests {
             crc >= 4,
             "the decoder counted the garbage before the cutoff"
         );
-        if let Some(h) = health(&core) {
-            assert_eq!(h.quarantined, 2);
-        }
+        assert_eq!(health(&core).quarantined, 2);
     }
 
     #[test]
@@ -921,9 +912,8 @@ mod tests {
         assert_eq!(core.table.len(), 1, "the silent one never had a session");
         assert!(!landed(&core, 9).closed, "books stay open: no BYE arrived");
         assert!(core.live.is_empty() && core.pending.is_empty() && core.retired.is_empty());
-        if let Some(h) = health(&core) {
-            assert_eq!((h.sessions_started, h.evicted), (1, 1));
-        }
+        let h = health(&core);
+        assert_eq!((h.sessions_started, h.evicted), (1, 1));
     }
 
     #[test]
@@ -971,9 +961,8 @@ mod tests {
         assert!(s.closed && s.events_decoded == 30 && s.events_lost == 10);
         assert_eq!(core.table.len(), 1, "one session, not two");
         assert!(core.live.is_empty() && core.pending.is_empty() && core.retired.is_empty());
-        if let Some(h) = health(&core) {
-            assert_eq!((h.sessions_started, h.resumed, h.in_flight), (1, 1, 0));
-        }
+        let h = health(&core);
+        assert_eq!((h.sessions_started, h.resumed, h.in_flight), (1, 1, 0));
     }
 
     #[test]
@@ -998,9 +987,8 @@ mod tests {
         core.on_close(2, t0 + 5 * MS);
         let s = landed(&core, 12);
         assert!(s.closed && s.events_decoded == 30 && s.events_lost == 0);
-        if let Some(h) = health(&core) {
-            assert_eq!((h.sessions_started, h.resumed), (1, 1));
-        }
+        let h = health(&core);
+        assert_eq!((h.sessions_started, h.resumed), (1, 1));
     }
 
     #[test]
@@ -1022,9 +1010,8 @@ mod tests {
         assert_eq!(core.parked.len(), 1, "same identity: one park");
         assert_eq!(core.table.len(), 1, "the displaced park landed");
         assert_eq!(landed(&core, 13).events_decoded, 10);
-        if let Some(h) = health(&core) {
-            assert_eq!((h.sessions_started, h.evicted), (2, 1));
-        }
+        let h = health(&core);
+        assert_eq!((h.sessions_started, h.evicted), (2, 1));
     }
 
     #[test]
@@ -1065,9 +1052,8 @@ mod tests {
         assert_eq!(closes(&mut core), vec![2], "quarantined as it resolved");
         assert!(core.retired.is_empty(), "a connection id is never filtered");
         assert_eq!(core.live.len(), 1, "the racing session is untouched");
-        if let Some(h) = health(&core) {
-            assert_eq!((h.sessions_started, h.quarantined), (2, 1));
-        }
+        let h = health(&core);
+        assert_eq!((h.sessions_started, h.quarantined), (2, 1));
     }
 
     #[test]
@@ -1091,9 +1077,7 @@ mod tests {
             }
             let s = &table.snapshot()[0].report.stats;
             assert!(!s.closed && s.events_decoded == 10);
-            if cfg!(feature = "metrics") {
-                assert_eq!(table.health().evicted, 1);
-            }
+            assert_eq!(table.health().evicted, 1);
         }
     }
 
@@ -1259,11 +1243,10 @@ mod tests {
                     }
                 }
             }
-            if let Some(h) = health(&core) {
-                let open = core.live.len() + core.parked.len();
-                assert_eq!(h.in_flight, open as u64, "seed {seed:#x}: in flight");
-                assert_eq!(h.sessions_started, h.sessions_finished + h.in_flight);
-            }
+            let h = health(&core);
+            let open = core.live.len() + core.parked.len();
+            assert_eq!(h.in_flight, open as u64, "seed {seed:#x}: in flight");
+            assert_eq!(h.sessions_started, h.sessions_finished + h.in_flight);
             now += Duration::from_micros(dice.below(3000));
             if dice.below(64) == 0 {
                 now += Duration::from_millis(dice.below(200));
@@ -1291,19 +1274,18 @@ mod tests {
                 assert_eq!(st.events_lost, s.fate_lost, "{what}: exact books");
             }
         }
-        if let Some(h) = cfg!(feature = "metrics").then(|| table.health()) {
-            let reconnects: u64 = sent.iter().map(|s| s.reconnects).sum();
-            let peers = sent.len() as u64;
-            assert_eq!(
-                (h.sessions_started, h.in_flight),
-                (peers, 0),
-                "seed {seed:#x}"
-            );
-            assert_eq!(
-                h.resumed, reconnects,
-                "seed {seed:#x}: every reconnect resumed"
-            );
-        }
+        let h = table.health();
+        let reconnects: u64 = sent.iter().map(|s| s.reconnects).sum();
+        let peers = sent.len() as u64;
+        assert_eq!(
+            (h.sessions_started, h.in_flight),
+            (peers, 0),
+            "seed {seed:#x}"
+        );
+        assert_eq!(
+            h.resumed, reconnects,
+            "seed {seed:#x}: every reconnect resumed"
+        );
     }
 
     #[test]

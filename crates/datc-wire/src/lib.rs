@@ -51,7 +51,7 @@
 //!   corruption, truncation, stall windows, mid-session disconnects)
 //!   that replays any failure from its logged seed, wrapping both
 //!   senders via `with_chaos`;
-//! * [`flow`] — receiver-driven flow control: hubs write
+//! * [`flow`] — receiver-driven flow control: the UDP hub writes
 //!   [`packet::FeedbackSummary`] frames back to the
 //!   sender, whose [`AimdController`] adapts [`UdpPacing`] (additive
 //!   increase, multiplicative decrease) and whose [`ReplayBuffer`]

@@ -478,11 +478,8 @@ impl SessionObs {
 /// let _hello = tx.hello();
 /// let _bye = tx.bye();
 /// obs.sync(&tx);
-/// // with the `metrics` feature off, counters are no-ops and read 0
-/// # if cfg!(feature = "metrics") {
 /// assert!(datc_obs::render_prometheus(&reg)
 ///     .contains("datc_tx_frames_total{session=\"1\"} 2"));
-/// # }
 /// ```
 #[derive(Debug)]
 pub struct TxObs {
@@ -544,10 +541,8 @@ impl TxObs {
 /// let obs = FlowObs::register(&reg, "3");
 /// let flow = FlowSession::new(FlowConfig::default());
 /// obs.sync(&flow);
-/// # if cfg!(feature = "metrics") {
 /// assert!(datc_obs::render_prometheus(&reg)
 ///     .contains("datc_flow_rate_datagrams_per_s{session=\"3\"}"));
-/// # }
 /// ```
 #[derive(Debug)]
 pub struct FlowObs {
@@ -611,10 +606,6 @@ mod tests {
     use crate::packet::SessionHeader;
 
     #[test]
-    #[cfg_attr(
-        not(feature = "metrics"),
-        ignore = "counters are no-ops with metrics off"
-    )]
     fn sync_publishes_decoder_counters_verbatim() {
         use crate::decode::StreamDecoder;
         use crate::packet::encode_session;
@@ -684,10 +675,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        not(feature = "metrics"),
-        ignore = "counters are no-ops with metrics off"
-    )]
     fn ewma_converges_on_a_steady_rate() {
         let reg = Registry::new();
         let mut obs = SessionObs::register(&reg, "2");
@@ -722,10 +709,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        not(feature = "metrics"),
-        ignore = "counters are no-ops with metrics off"
-    )]
     fn two_sessions_share_names_but_not_series() {
         let reg = Registry::new();
         let a = SessionObs::register(&reg, "1");

@@ -412,8 +412,8 @@ pub const MAX_FEEDBACK_PAYLOAD: usize =
 /// A receiver→sender flow-control report, the FEEDBACK frame payload.
 ///
 /// Snapshotted from the receiver's exact books at a configurable
-/// cadence and written back on the reverse path (duplex TCP socket or
-/// UDP datagram to the peer address). The sender's
+/// cadence and written back by the UDP hub in a datagram to the peer
+/// address (a TCP hub writes none). The sender's
 /// [`flow`](crate::flow) module turns these into AIMD pacing decisions
 /// and gap-repair retransmissions.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -63,7 +63,9 @@ pub struct SessionRxConfig {
     /// hostile or badly reordered peer from ballooning session memory.
     pub parked_bytes_cap: Option<usize>,
     /// Cadence for [`feedback_due`](SessionRx::feedback_due) flow-control
-    /// snapshots; `None` disables feedback production entirely.
+    /// snapshots; `None` disables feedback production entirely. TCP hubs
+    /// ignore it: a [`TelemetryHub`](crate::gateway::TelemetryHub) writes
+    /// no FEEDBACK.
     pub feedback_every: Option<std::time::Duration>,
 }
 

@@ -306,14 +306,10 @@ fn outage_profile_over_tcp_retries_resume_and_book_the_outage_as_loss() {
     );
     // HubHealth reconciles with the client's story: one logical
     // session, every reconnect adopted, nothing in flight after close.
-    // Registry-backed, so it reads zeros when `metrics` is off — the
-    // loss books above are plain struct fields and hold either way.
-    if cfg!(feature = "metrics") {
-        assert_eq!(run.health.sessions_started, 1, "seed {SEED:#x}");
-        assert_eq!(run.health.resumed, run.client.reconnects, "seed {SEED:#x}");
-        assert_eq!(run.health.in_flight, 0, "seed {SEED:#x}");
-        assert_eq!(run.health.events_lost, expected_total, "seed {SEED:#x}");
-    }
+    assert_eq!(run.health.sessions_started, 1, "seed {SEED:#x}");
+    assert_eq!(run.health.resumed, run.client.reconnects, "seed {SEED:#x}");
+    assert_eq!(run.health.in_flight, 0, "seed {SEED:#x}");
+    assert_eq!(run.health.events_lost, expected_total, "seed {SEED:#x}");
 }
 
 #[test]
@@ -589,21 +585,16 @@ fn pressured_hub_throttles_a_compliant_sender_instead_of_quarantining_it() {
         // tick often enough for the multiplicative decrease to bite.
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    // Pressure is derived from the registry-backed health tallies, so
-    // the throttling itself is observable only with metrics compiled
-    // in; the exact-books half of the test holds either way.
-    if cfg!(feature = "metrics") {
-        let aimd = tx.flow().expect("flow installed").aimd();
-        assert!(
-            aimd.throttles() >= 1,
-            "saturated hub pressure must throttle the sender"
-        );
-        assert!(
-            (aimd.rate_datagrams_per_s() - floor).abs() < 1e-6,
-            "repeated pressure reports drive the rate to the floor, got {}",
-            aimd.rate_datagrams_per_s()
-        );
-    }
+    let aimd = tx.flow().expect("flow installed").aimd();
+    assert!(
+        aimd.throttles() >= 1,
+        "saturated hub pressure must throttle the sender"
+    );
+    assert!(
+        (aimd.rate_datagrams_per_s() - floor).abs() < 1e-6,
+        "repeated pressure reports drive the rate to the floor, got {}",
+        aimd.rate_datagrams_per_s()
+    );
     let client = tx.finish().expect("finish");
     assert_eq!(client.events_sent, merged.len() as u64);
     assert_eq!(client.repairs, 0, "clean link: throttled, not repaired");
@@ -619,10 +610,8 @@ fn pressured_hub_throttles_a_compliant_sender_instead_of_quarantining_it() {
     assert!(s.report.stats.closed);
     assert_eq!(s.report.stats.events_decoded, merged.len() as u64);
     assert_eq!(s.report.stats.events_lost, 0);
-    if cfg!(feature = "metrics") {
-        assert_eq!(health.quarantined, 0, "compliance was never punished");
-        assert_eq!(health.shed, 0, "the in-cap peer was never shed");
-    }
+    assert_eq!(health.quarantined, 0, "compliance was never punished");
+    assert_eq!(health.shed, 0, "the in-cap peer was never shed");
     let captures = store.lock().unwrap();
     assert_eq!(
         captures[0].events.len() as u64,
