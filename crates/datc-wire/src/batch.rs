@@ -123,12 +123,6 @@ impl EventBatch {
         &self.ticks
     }
 
-    /// The raw code column ([`CODE_NONE`] marks code-less events).
-    #[inline]
-    pub fn codes_raw(&self) -> &[u16] {
-        &self.codes
-    }
-
     /// Event `i`'s threshold code, if it carries one.
     #[inline]
     pub fn code(&self, i: usize) -> Option<u8> {

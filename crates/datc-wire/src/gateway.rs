@@ -44,7 +44,7 @@
 //! * shutdown finishes every session in flight.
 //!
 //! All of it is surfaced in the [`HubHealth`] snapshot both hubs share.
-//! Senders carry a [`RetryPolicy`] (capped exponential backoff,
+//! TCP senders carry a [`RetryPolicy`] (capped exponential backoff,
 //! decorrelated jitter), and [`chaos`] links
 //! ([`SessionSender::with_chaos`]) exercise it deterministically.
 //!
@@ -70,7 +70,7 @@
 use crate::chaos::{self, ChaosLink, ChaosStats};
 use crate::decode::WireStats;
 use crate::hub::{Action, HubCore};
-use crate::obs::{self, TxObs};
+use crate::obs;
 use crate::packet::{Packetizer, SessionHeader};
 use crate::session::{SessionReport, SessionRxConfig};
 use crate::sink::SessionSink;
@@ -735,7 +735,7 @@ fn read_connection(conn: u64, mut socket: TcpStream, shared: &Mutex<Shared>) {
     }
 }
 
-/// When and how often a sender retries a failed connect or write:
+/// When and how often a TCP sender retries a failed connect or write:
 /// capped exponential backoff with decorrelated jitter, deterministic
 /// in `(jitter_seed, attempt)` so a replayed failure schedules the
 /// same waits.
@@ -744,13 +744,18 @@ fn read_connection(conn: u64, mut socket: TcpStream, shared: &Mutex<Shared>) {
 ///
 /// ```
 /// use datc_wire::gateway::RetryPolicy;
-/// let policy = RetryPolicy::default_backoff();
-/// assert!(policy.enabled());
+/// use std::time::Duration;
+/// let policy = RetryPolicy {
+///     max_retries: 6,
+///     base_delay: Duration::from_millis(5),
+///     max_delay: Duration::from_millis(250),
+///     jitter_seed: 0x5EED,
+/// };
 /// // Delays grow roughly exponentially and never exceed the cap.
 /// for attempt in 0..10 {
 ///     assert!(policy.delay(attempt) <= policy.max_delay);
 /// }
-/// assert!(!RetryPolicy::none().enabled());
+/// assert_eq!(RetryPolicy::none().delay(0), Duration::ZERO);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -776,22 +781,6 @@ impl RetryPolicy {
             max_delay: Duration::ZERO,
             jitter_seed: 0,
         }
-    }
-
-    /// The recommended enabled policy: 6 retries, 5 ms base backoff
-    /// doubling up to a 250 ms cap (≈ 0.7 s worst-case total wait).
-    pub fn default_backoff() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 6,
-            base_delay: Duration::from_millis(5),
-            max_delay: Duration::from_millis(250),
-            jitter_seed: 0x5EED,
-        }
-    }
-
-    /// `true` when at least one retry is allowed.
-    pub fn enabled(&self) -> bool {
-        self.max_retries > 0
     }
 
     /// The backoff before retry number `attempt` (0-based): capped
@@ -833,8 +822,8 @@ pub struct ClientReport {
     /// restarting). Counted as transport loss, not as a send failure;
     /// always 0 over TCP.
     pub datagrams_refused: u64,
-    /// Write/connect attempts that failed and were retried under the
-    /// sender's [`RetryPolicy`].
+    /// TCP only: write/connect attempts that failed and were retried
+    /// under the sender's [`RetryPolicy`]. Always 0 over UDP.
     pub retries: u64,
     /// TCP only: successful reconnect-and-resume cycles (each re-sent
     /// the HELLO so the hub could adopt the parked session).
@@ -853,35 +842,23 @@ pub struct ClientReport {
 }
 
 /// The transport-independent half of a sender: the packetizer, the
-/// retry policy and its tallies, the optional chaos link and the
-/// transmit instrumentation. A [`Transport`]'s write path books its
-/// retries and give-ups here.
+/// optional chaos link and whether the sender gave up. A
+/// [`Transport`]'s write path books its give-ups here.
 #[derive(Debug)]
 pub struct SenderCore {
     pub(crate) packetizer: Packetizer,
-    pub(crate) retry: RetryPolicy,
     chaos: Option<ChaosLink>,
-    pub(crate) retries: u64,
     pub(crate) gave_up: bool,
-    obs: Option<TxObs>,
-}
-
-impl SenderCore {
-    fn sync_obs(&self) {
-        if let Some(obs) = &self.obs {
-            obs.sync(&self.packetizer);
-        }
-    }
 }
 
 /// The write path a [`Sender`] runs over: [`TcpTransport`] behind
 /// [`SessionSender`], [`UdpTransport`](crate::udp::UdpTransport) behind
 /// [`UdpSessionSender`](crate::udp::UdpSessionSender). Packetizing,
-/// chaos routing, metrics and the client report belong to the sender,
-/// once for both; the hooks below default to doing nothing.
+/// chaos routing and the client report belong to the sender, once for
+/// both; retrying is the transport's own business. The hooks below
+/// default to doing nothing.
 pub trait Transport {
-    /// Writes one framed chunk, retrying under `core`'s policy and
-    /// booking retries and give-ups there.
+    /// Writes one framed chunk, booking a give-up in `core`.
     fn write(&mut self, core: &mut SenderCore, frame: &[u8]) -> std::io::Result<()>;
 
     /// The chaos link declared the connection dead at this point.
@@ -923,36 +900,18 @@ pub struct Sender<T> {
 
 impl<T: Transport> Sender<T> {
     /// Wraps a connected transport and sends the HELLO through it.
-    pub(crate) fn open(
-        transport: T,
-        header: SessionHeader,
-        retry: RetryPolicy,
-        retries: u64,
-    ) -> std::io::Result<Sender<T>> {
+    pub(crate) fn open(transport: T, header: SessionHeader) -> std::io::Result<Sender<T>> {
         let mut tx = Sender {
             core: SenderCore {
                 packetizer: Packetizer::new(header),
-                retry,
                 chaos: None,
-                retries,
                 gave_up: false,
-                obs: None,
             },
             transport,
         };
         let hello = tx.core.packetizer.hello();
         tx.transport.write(&mut tx.core, &hello)?;
         Ok(tx)
-    }
-
-    /// Attaches transmit instrumentation: the sender keeps the
-    /// `datc_tx_*` series synced after the HELLO, every
-    /// [`send_events`](Sender::send_events) batch and the BYE.
-    #[must_use]
-    pub fn with_metrics(mut self, obs: TxObs) -> Self {
-        self.core.obs = Some(obs);
-        self.core.sync_obs();
-        self
     }
 
     /// Routes every DATA frame through a deterministic [`ChaosLink`]:
@@ -988,7 +947,7 @@ impl<T: Transport> Sender<T> {
             frames_sent: core.packetizer.frames_emitted(),
             bytes_sent: core.packetizer.bytes_emitted(),
             datagrams_refused: 0,
-            retries: core.retries,
+            retries: 0,
             reconnects: 0,
             repairs: 0,
             gave_up: core.gave_up,
@@ -1022,9 +981,7 @@ impl<T: Transport> Sender<T> {
                 self.transport.write(&mut self.core, unit)?;
             }
         }
-        self.transport.sent(&mut self.core, first_index, &frames)?;
-        self.core.sync_obs();
-        Ok(())
+        self.transport.sent(&mut self.core, first_index, &frames)
     }
 
     /// Flushes any frames the chaos link still holds, runs the
@@ -1050,7 +1007,6 @@ impl<T: Transport> Sender<T> {
         self.transport.drain(&mut self.core)?;
         let bye = self.core.packetizer.bye();
         self.transport.write(&mut self.core, &bye)?;
-        self.core.sync_obs();
         self.transport.close()?;
         Ok(self.report())
     }
@@ -1073,11 +1029,13 @@ impl<T: Transport> Sender<T> {
 pub type SessionSender = Sender<TcpTransport>;
 
 /// The TCP [`Transport`]: one connection, reconnected with the HELLO
-/// re-sent when a write fails.
+/// re-sent when a write fails, under a [`RetryPolicy`].
 #[derive(Debug)]
 pub struct TcpTransport {
     socket: TcpStream,
     addrs: Vec<SocketAddr>,
+    retry: RetryPolicy,
+    retries: u64,
     reconnects: u64,
 }
 
@@ -1097,7 +1055,7 @@ fn connect_any(addrs: &[SocketAddr]) -> std::io::Result<TcpStream> {
 
 impl Transport for TcpTransport {
     /// Writes one frame, retrying with backoff + reconnect under the
-    /// sender's policy. On reconnect the HELLO is re-sent first (same
+    /// transport's policy. On reconnect the HELLO is re-sent first (same
     /// header, same DATA-V2 nonce), which is what lets the hub adopt
     /// the parked session and the decoder book the outage as loss.
     fn write(&mut self, core: &mut SenderCore, frame: &[u8]) -> std::io::Result<()> {
@@ -1106,13 +1064,13 @@ impl Transport for TcpTransport {
             match self.socket.write_all(frame) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
-                    if attempt >= core.retry.max_retries {
+                    if attempt >= self.retry.max_retries {
                         core.gave_up = true;
                         return Err(e);
                     }
-                    std::thread::sleep(core.retry.delay(attempt));
+                    std::thread::sleep(self.retry.delay(attempt));
                     attempt += 1;
-                    core.retries += 1;
+                    self.retries += 1;
                     if let Ok(socket) = connect_any(&self.addrs) {
                         self.socket = socket;
                         self.reconnects += 1;
@@ -1148,6 +1106,7 @@ impl Transport for TcpTransport {
     }
 
     fn annotate(&self, report: &mut ClientReport) {
+        report.retries = self.retries;
         report.reconnects = self.reconnects;
     }
 }
@@ -1197,9 +1156,11 @@ impl SessionSender {
         let transport = TcpTransport {
             socket,
             addrs,
+            retry,
+            retries: u64::from(attempt),
             reconnects: 0,
         };
-        Sender::open(transport, header, retry, u64::from(attempt))
+        Sender::open(transport, header)
     }
 }
 
@@ -1548,6 +1509,10 @@ mod tests {
         assert!(expected_lost > 0, "the outage profile must cost something");
         let client = tx.finish().unwrap();
         assert!(client.reconnects >= 1, "disconnects forced reconnects");
+        assert!(
+            client.retries >= client.reconnects,
+            "every reconnect follows a failed write"
+        );
         assert!(!client.gave_up);
         assert_eq!(client.events_sent, 2000);
 

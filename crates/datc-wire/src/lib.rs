@@ -42,10 +42,9 @@
 //!   selfsame [`StreamDecoder`] — and a [`SessionTable`] both hubs can
 //!   share;
 //! * [`obs`] — wire-layer instrumentation: stable metric names plus
-//!   the sync helpers ([`SessionObs`], [`TxObs`]) that publish
-//!   decoder/packetizer books, per-session gauges and deterministic
-//!   tick-domain latency histograms into a
-//!   [`datc_obs::Registry`];
+//!   the sync helper ([`SessionObs`]) that publishes decoder books,
+//!   per-session gauges and deterministic tick-domain latency
+//!   histograms into a [`datc_obs::Registry`];
 //! * [`chaos`] — deterministic fault injection ([`ChaosLink`]): a
 //!   seeded hostile link (drop, duplication, bounded reorder, bit
 //!   corruption, truncation, stall windows, mid-session disconnects)
@@ -129,7 +128,7 @@ pub use gateway::{
     stream_fleet, ClientReport, HubConfig, HubHealth, HubSession, RetryPolicy, SessionSender,
     SessionTable, SinkFactory, TelemetryHub,
 };
-pub use obs::{FlowObs, SessionObs, TxObs};
+pub use obs::SessionObs;
 pub use packet::{ByeSummary, FeedbackSummary, Packetizer, SessionHeader, WireEvent};
 pub use session::{SessionReport, SessionRx, SessionRxConfig};
 pub use sink::{capture_store, CaptureStore, ForceRing, MemorySink, SessionCapture, SessionSink};

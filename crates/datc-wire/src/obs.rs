@@ -1,19 +1,18 @@
 //! Wire-layer instrumentation: the stable metric names and the sync
-//! helpers that bind decoders, packetizers and receive sessions to a
+//! helper that binds decoders and receive sessions to a
 //! [`datc_obs::Registry`].
 //!
 //! The convention throughout is **sync, don't count**: the hot paths
-//! keep their plain `u64` tallies (the decoder's books, the
-//! packetizer's counters) and an obs helper publishes them into the
-//! registry with [`Counter::store`] at natural batch boundaries — one
-//! sync per socket read or per frame batch, a handful of relaxed
-//! stores each. Even the session latency histogram is batched: release
-//! batches leave the reorder buffer time-ordered, so
-//! [`SessionObs::observe_latency_batch`] finds each log-bucket
-//! boundary by binary search (`O(buckets · log n)` per batch) instead
-//! of paying a divide and three `fetch_add`s per event — and only when
-//! a [`SessionObs`] is attached; an uninstrumented session pays
-//! nothing.
+//! keep their plain `u64` tallies (the decoder's books) and an obs
+//! helper publishes them into the registry with [`Counter::store`] at
+//! natural batch boundaries — one sync per socket read or per frame
+//! batch, a handful of relaxed stores each. Even the session latency
+//! histogram is batched: release batches leave the reorder buffer
+//! time-ordered, so [`SessionObs::observe_latency_batch`] finds each
+//! log-bucket boundary by binary search (`O(buckets · log n)` per
+//! batch) instead of paying a divide and three `fetch_add`s per event —
+//! and only when a [`SessionObs`] is attached; an uninstrumented
+//! session pays nothing.
 //!
 //! ## Metric names
 //!
@@ -45,27 +44,15 @@
 //! | `datc_session_force_ring_bytes` | gauge | `session` | bytes retained in the force rings |
 //! | `datc_session_event_rate_ewma` | gauge | `session` | smoothed event rate, events/s (session time) |
 //! | `datc_session_latency_ticks` | histogram | `session` | ingest→force-release latency, clock ticks |
-//! | `datc_session_push_ns` | histogram | `session` | wall-clock time per `push_bytes` call (opt-in) |
-//! | `datc_tx_events_total` | counter | `session` | events packetised |
-//! | `datc_tx_frames_total` | counter | `session` | frames emitted (HELLO + DATA + BYE) |
-//! | `datc_tx_bytes_total` | counter | `session` | wire bytes emitted, framing included |
 //! | `datc_flow_feedback_tx_total` | counter | `session` | FEEDBACK frames the receiver wrote back |
-//! | `datc_flow_feedback_rx_total` | counter | `session` | FEEDBACK frames the sender consumed |
-//! | `datc_flow_repair_frames_total` | counter | `session` | DATA frames retransmitted from the replay buffer |
-//! | `datc_flow_repaired_events_total` | counter | `session` | events carried by those retransmissions |
-//! | `datc_flow_throttles_total` | counter | `session` | multiplicative AIMD rate decreases |
-//! | `datc_flow_rate_datagrams_per_s` | gauge | `session` | current AIMD send rate |
 //!
 //! The tick-domain latency histogram is **deterministic**: latencies
 //! are computed from event timestamps and the decoder watermark (both
 //! functions of the byte stream alone), and the histogram's integer
 //! bucket counts make its snapshot bit-reproducible across reruns of
-//! the same stream. The `datc_session_push_ns` wall-clock variant is
-//! opt-in ([`SessionObs::with_wall_clock`]) precisely because it is
-//! not.
+//! the same stream.
 
 use crate::decode::WireCounters;
-use crate::packet::Packetizer;
 use datc_obs::{Counter, Gauge, Histogram, Registry};
 
 /// Smoothing factor for the per-session event-rate EWMA gauge.
@@ -136,35 +123,14 @@ names! {
     /// Per-session histogram: ingest→force-release latency in clock
     /// ticks (deterministic; bit-reproducible per byte stream).
     SESSION_LATENCY_TICKS = "datc_session_latency_ticks";
-    /// Per-session histogram: wall-clock nanoseconds per
-    /// `push_bytes` call (opt-in; not reproducible).
-    SESSION_PUSH_NS = "datc_session_push_ns";
-    /// Per-session counter: events packetised by the sender.
-    TX_EVENTS = "datc_tx_events_total";
-    /// Per-session counter: frames the sender's packetizer emitted.
-    TX_FRAMES = "datc_tx_frames_total";
-    /// Per-session counter: wire bytes the sender's packetizer emitted.
-    TX_BYTES = "datc_tx_bytes_total";
     /// Per-session counter: FEEDBACK frames the receive session wrote
     /// back to its sender.
     FLOW_FEEDBACK_TX = "datc_flow_feedback_tx_total";
-    /// Per-session counter: FEEDBACK frames the sender consumed.
-    FLOW_FEEDBACK_RX = "datc_flow_feedback_rx_total";
-    /// Per-session counter: DATA frames retransmitted from the sender's
-    /// replay buffer.
-    FLOW_REPAIR_FRAMES = "datc_flow_repair_frames_total";
-    /// Per-session counter: events carried by those retransmissions.
-    FLOW_REPAIRED_EVENTS = "datc_flow_repaired_events_total";
-    /// Per-session counter: multiplicative AIMD rate decreases.
-    FLOW_THROTTLES = "datc_flow_throttles_total";
-    /// Per-session gauge: the AIMD controller's current send rate in
-    /// datagrams per second.
-    FLOW_RATE = "datc_flow_rate_datagrams_per_s";
 }
 
 /// Every name in the per-session receive family — what
 /// [`SessionObs::retire`] removes.
-const RX_SERIES: [&str; 17] = [
+const RX_SERIES: [&str; 16] = [
     RX_FRAMES,
     RX_DUPLICATE_FRAMES,
     RX_CRC_FAILURES,
@@ -181,11 +147,10 @@ const RX_SERIES: [&str; 17] = [
     SESSION_FORCE_RING_BYTES,
     SESSION_EVENT_RATE_EWMA,
     SESSION_LATENCY_TICKS,
-    SESSION_PUSH_NS,
 ];
 
 /// Per-session receive instrumentation: registry handles for one
-/// session's decode books, pipeline gauges and latency histograms,
+/// session's decode books, pipeline gauges and latency histogram,
 /// all labeled `session="<label>"`.
 ///
 /// Attach one to a [`SessionRx`](crate::session::SessionRx) via
@@ -234,7 +199,6 @@ pub struct SessionObs {
     force_ring_bytes: Gauge,
     event_rate: Gauge,
     latency_ticks: Histogram,
-    push_ns: Option<Histogram>,
     retire_on_finish: bool,
     ewma: Option<f64>,
     last_watermark_s: f64,
@@ -262,24 +226,12 @@ impl SessionObs {
             force_ring_bytes: registry.gauge_with(SESSION_FORCE_RING_BYTES, &l),
             event_rate: registry.gauge_with(SESSION_EVENT_RATE_EWMA, &l),
             latency_ticks: registry.histogram_with(SESSION_LATENCY_TICKS, &l),
-            push_ns: None,
             retire_on_finish: false,
             ewma: None,
             last_watermark_s: 0.0,
             registry: registry.clone(),
             label: session.to_owned(),
         }
-    }
-
-    /// Also registers the opt-in `datc_session_push_ns` wall-clock
-    /// histogram (per-`push_bytes` processing time). Kept off by
-    /// default so the default metric set stays bit-reproducible.
-    pub fn with_wall_clock(mut self) -> SessionObs {
-        self.push_ns = Some(
-            self.registry
-                .histogram_with(SESSION_PUSH_NS, &[(SESSION_LABEL, &self.label)]),
-        );
-        self
     }
 
     /// Makes [`SessionRx::finish`](crate::session::SessionRx::finish)
@@ -289,11 +241,6 @@ impl SessionObs {
     pub fn with_retire_on_finish(mut self) -> SessionObs {
         self.retire_on_finish = true;
         self
-    }
-
-    /// The `session` label value.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     pub(crate) fn retire_on_finish_set(&self) -> bool {
@@ -411,27 +358,6 @@ impl SessionObs {
         self.force_ring_bytes.set(bytes as f64);
     }
 
-    /// Observes one `push_bytes` call's wall-clock duration, when
-    /// wall-clock timing was enabled.
-    pub fn observe_push_ns(&self, ns: u64) {
-        if let Some(h) = &self.push_ns {
-            h.observe(ns);
-        }
-    }
-
-    /// Starts timing one `push_bytes` call: the wall-clock start when
-    /// wall-clock timing was enabled, else `None` (no clock read). The
-    /// clock reads live here so the session itself stays clock-free.
-    pub(crate) fn push_started(&self) -> Option<std::time::Instant> {
-        self.push_ns.as_ref().map(|_| std::time::Instant::now())
-    }
-
-    /// Observes the call [`push_started`](SessionObs::push_started)
-    /// began at `t0`.
-    pub(crate) fn push_finished(&self, t0: std::time::Instant) {
-        self.observe_push_ns(t0.elapsed().as_nanos() as u64);
-    }
-
     /// Feeds the event-rate EWMA: `absorbed` events were released with
     /// the decoder watermark now at `watermark_s` (session time). The
     /// instantaneous rate over the watermark delta is folded in with
@@ -456,145 +382,6 @@ impl SessionObs {
     pub fn retire(&self) {
         let l = [(SESSION_LABEL, self.label.as_str())];
         for name in RX_SERIES {
-            self.registry.remove(name, &l);
-        }
-    }
-}
-
-/// Transmit-side instrumentation: publishes a
-/// [`Packetizer`]'s counters as the `datc_tx_*` series, labeled
-/// `session="<label>"`.
-///
-/// # Example
-///
-/// ```
-/// use datc_obs::Registry;
-/// use datc_wire::obs::TxObs;
-/// use datc_wire::packet::{Packetizer, SessionHeader};
-///
-/// let reg = Registry::new();
-/// let obs = TxObs::register(&reg, "1");
-/// let mut tx = Packetizer::new(SessionHeader::new(1, 1, 2000.0, 1.0));
-/// let _hello = tx.hello();
-/// let _bye = tx.bye();
-/// obs.sync(&tx);
-/// assert!(datc_obs::render_prometheus(&reg)
-///     .contains("datc_tx_frames_total{session=\"1\"} 2"));
-/// ```
-#[derive(Debug)]
-pub struct TxObs {
-    registry: Registry,
-    label: String,
-    events: Counter,
-    frames: Counter,
-    bytes: Counter,
-}
-
-impl TxObs {
-    /// Registers the transmit series for `session`.
-    pub fn register(registry: &Registry, session: &str) -> TxObs {
-        let l = [(SESSION_LABEL, session)];
-        TxObs {
-            events: registry.counter_with(TX_EVENTS, &l),
-            frames: registry.counter_with(TX_FRAMES, &l),
-            bytes: registry.counter_with(TX_BYTES, &l),
-            registry: registry.clone(),
-            label: session.to_owned(),
-        }
-    }
-
-    /// The `session` label value.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Publishes the packetizer's lifetime counters (three relaxed
-    /// stores — call after each frame batch).
-    pub fn sync(&self, p: &Packetizer) {
-        self.events.store(p.events_sent());
-        self.frames.store(p.frames_emitted());
-        self.bytes.store(p.bytes_emitted());
-    }
-
-    /// Removes this sender's series from the registry.
-    pub fn retire(&self) {
-        let l = [(SESSION_LABEL, self.label.as_str())];
-        for name in [TX_EVENTS, TX_FRAMES, TX_BYTES] {
-            self.registry.remove(name, &l);
-        }
-    }
-}
-
-/// Sender-side flow-control instrumentation: publishes a
-/// [`FlowSession`](crate::flow::FlowSession)'s feedback and repair
-/// books plus its AIMD controller state as the `datc_flow_*` series,
-/// labeled `session="<label>"`.
-///
-/// # Example
-///
-/// ```
-/// use datc_obs::Registry;
-/// use datc_wire::flow::{FlowConfig, FlowSession};
-/// use datc_wire::obs::FlowObs;
-///
-/// let reg = Registry::new();
-/// let obs = FlowObs::register(&reg, "3");
-/// let flow = FlowSession::new(FlowConfig::default());
-/// obs.sync(&flow);
-/// assert!(datc_obs::render_prometheus(&reg)
-///     .contains("datc_flow_rate_datagrams_per_s{session=\"3\"}"));
-/// ```
-#[derive(Debug)]
-pub struct FlowObs {
-    registry: Registry,
-    label: String,
-    feedback_rx: Counter,
-    repair_frames: Counter,
-    repaired_events: Counter,
-    throttles: Counter,
-    rate: Gauge,
-}
-
-impl FlowObs {
-    /// Registers the flow-control series for `session`.
-    pub fn register(registry: &Registry, session: &str) -> FlowObs {
-        let l = [(SESSION_LABEL, session)];
-        FlowObs {
-            feedback_rx: registry.counter_with(FLOW_FEEDBACK_RX, &l),
-            repair_frames: registry.counter_with(FLOW_REPAIR_FRAMES, &l),
-            repaired_events: registry.counter_with(FLOW_REPAIRED_EVENTS, &l),
-            throttles: registry.counter_with(FLOW_THROTTLES, &l),
-            rate: registry.gauge_with(FLOW_RATE, &l),
-            registry: registry.clone(),
-            label: session.to_owned(),
-        }
-    }
-
-    /// The `session` label value.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Publishes the flow session's lifetime books (a handful of
-    /// relaxed stores — call after each feedback pump).
-    pub fn sync(&self, flow: &crate::flow::FlowSession) {
-        self.feedback_rx.store(flow.feedback_rx());
-        self.repair_frames.store(flow.repairs_frames());
-        self.repaired_events.store(flow.repairs_events());
-        self.throttles.store(flow.aimd().throttles());
-        self.rate.set(flow.aimd().rate_datagrams_per_s());
-    }
-
-    /// Removes this sender's flow series from the registry.
-    pub fn retire(&self) {
-        let l = [(SESSION_LABEL, self.label.as_str())];
-        for name in [
-            FLOW_FEEDBACK_RX,
-            FLOW_REPAIR_FRAMES,
-            FLOW_REPAIRED_EVENTS,
-            FLOW_THROTTLES,
-            FLOW_RATE,
-        ] {
             self.registry.remove(name, &l);
         }
     }
@@ -698,13 +485,9 @@ mod tests {
     #[test]
     fn retire_removes_every_per_session_series() {
         let reg = Registry::new();
-        let obs = SessionObs::register(&reg, "5").with_wall_clock();
-        let tx = TxObs::register(&reg, "5");
-        let flow = FlowObs::register(&reg, "5");
+        let obs = SessionObs::register(&reg, "5");
         assert!(!reg.is_empty());
         obs.retire();
-        tx.retire();
-        flow.retire();
         assert!(reg.is_empty(), "all series retired: {:?}", reg.snapshot());
     }
 

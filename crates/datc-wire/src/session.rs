@@ -302,7 +302,6 @@ impl SessionRx {
     /// per-channel reconstructors (and the sink, when attached).
     /// Returns events absorbed this call.
     pub fn push_bytes(&mut self, bytes: &[u8]) -> usize {
-        let t0 = self.obs.as_ref().and_then(SessionObs::push_started);
         self.decoder.push_bytes(bytes);
         if self.recon.is_empty() {
             if let Some(h) = self.decoder.session() {
@@ -326,9 +325,6 @@ impl SessionRx {
         }
         self.emit();
         self.sync_obs(absorbed);
-        if let (Some(obs), Some(t0)) = (&self.obs, t0) {
-            obs.push_finished(t0);
-        }
         self.scratch.clear();
         absorbed
     }

@@ -70,8 +70,8 @@
 use crate::flow::FlowSession;
 use crate::frame::{parse_frame, FrameType, ParseOutcome, CRC_LEN, HEADER_LEN};
 use crate::gateway::{
-    fleet_header, ClientReport, Hub, HubConfig, RetryPolicy, Sender, SenderCore, SessionTable,
-    SinkFactory, Transport, POLL,
+    fleet_header, ClientReport, Hub, HubConfig, Sender, SenderCore, SessionTable, SinkFactory,
+    Transport, POLL,
 };
 use crate::hub::{Action, HubCore};
 use crate::packet::{SessionHeader, MAX_FEEDBACK_PAYLOAD};
@@ -244,9 +244,8 @@ impl UdpPacing {
 /// let report = tx.finish().unwrap();
 /// assert_eq!(report.events_sent, 0);
 /// ```
-/// Transient send failures (kernel buffer pressure, spurious
-/// timeouts) are retried with backoff when a [`RetryPolicy`] is
-/// installed via [`with_retry`](UdpSessionSender::with_retry); a
+/// A refused datagram counts as loss; any other send failure ends the
+/// session with [`ClientReport::gave_up`] set. A
 /// [`ChaosLink`](crate::chaos::ChaosLink) installed via
 /// [`with_chaos`](Sender::with_chaos) subjects every DATA
 /// datagram to deterministic fault injection before it reaches the
@@ -264,7 +263,6 @@ pub struct UdpTransport {
     sent_since_pause: u32,
     refused: u64,
     flow: Option<FlowSession>,
-    flow_obs: Option<crate::obs::FlowObs>,
 }
 
 impl Transport for UdpTransport {
@@ -276,33 +274,12 @@ impl Transport for UdpTransport {
         // loss accounting absorbs), not a session-fatal error: count it
         // and keep going. Real failures (socket shut down locally, no
         // route) still propagate.
-        let mut attempt: u32 = 0;
-        loop {
-            match self.socket.send(frame) {
-                Ok(_) => break,
-                Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
-                    self.refused += 1;
-                    break;
-                }
-                // Transient local pressure (send buffer full, spurious
-                // timeout, EINTR): back off per the retry policy. A
-                // sender without one fails fast, as before.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) && attempt < core.retry.max_retries =>
-                {
-                    std::thread::sleep(core.retry.delay(attempt));
-                    attempt += 1;
-                    core.retries += 1;
-                }
-                Err(e) => {
-                    core.gave_up = true;
-                    return Err(e);
-                }
+        match self.socket.send(frame) {
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => self.refused += 1,
+            Err(e) => {
+                core.gave_up = true;
+                return Err(e);
             }
         }
         self.sent_since_pause += 1;
@@ -409,7 +386,6 @@ impl UdpTransport {
         for frame in &repairs {
             self.write(core, frame)?;
         }
-        self.sync_flow_obs();
         Ok(())
     }
 
@@ -434,19 +410,9 @@ impl UdpTransport {
             std::thread::sleep(POLL.min(wait));
         }
     }
-
-    fn sync_flow_obs(&self) {
-        if let (Some(obs), Some(flow)) = (&self.flow_obs, &self.flow) {
-            obs.sync(flow);
-        }
-    }
 }
 
 impl UdpSessionSender {
-    /// Datagrams sent back-to-back before the pacing pause under the
-    /// default [`UdpPacing`].
-    pub const BURST: u32 = 32;
-
     /// Binds an ephemeral local socket, connects it to `addr` and sends
     /// the HELLO datagram, with the default [`UdpPacing`].
     ///
@@ -491,20 +457,8 @@ impl UdpSessionSender {
             sent_since_pause: 0,
             refused: 0,
             flow: None,
-            flow_obs: None,
         };
-        Sender::open(transport, header, RetryPolicy::none(), 0)
-    }
-
-    /// Installs a retry policy for transient send failures
-    /// (`WouldBlock` / `TimedOut` / `Interrupted` — kernel buffer
-    /// pressure, not peer loss). Each failed attempt sleeps the
-    /// policy's backoff delay; an exhausted budget surfaces the error
-    /// with [`ClientReport::gave_up`] set.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> UdpSessionSender {
-        self.core.retry = retry;
-        self
+        Sender::open(transport, header)
     }
 
     /// Installs receiver-driven flow control: the sender drains the
@@ -532,16 +486,6 @@ impl UdpSessionSender {
         let flow = FlowSession::new(config);
         self.transport.pacing = flow.aimd().pacing();
         self.transport.flow = Some(flow);
-        self
-    }
-
-    /// Attaches flow-control instrumentation: the sender keeps the
-    /// `datc_flow_*` series synced after every feedback drain. No-op
-    /// until [`with_flow`](UdpSessionSender::with_flow) is installed.
-    #[must_use]
-    pub fn with_flow_metrics(mut self, obs: crate::obs::FlowObs) -> UdpSessionSender {
-        self.transport.flow_obs = Some(obs);
-        self.transport.sync_flow_obs();
         self
     }
 

@@ -27,7 +27,7 @@
 //!   counters/gauges/log-scale histograms, Prometheus-text and JSON
 //!   exporters, and the stage-span clock — every layer above publishes
 //!   into it (`datc_fleet_*` from the engine, `datc_rx_*` /
-//!   `datc_session_*` / `datc_hub_*` / `datc_tx_*` from the wire);
+//!   `datc_session_*` / `datc_hub_*` from the wire);
 //! * [`rtl`] — the gate-level DTC, cell library, synthesis and power
 //!   reports (Table I);
 //! * [`experiments`] — runners regenerating every figure and table.

@@ -294,6 +294,10 @@ fn outage_profile_over_tcp_retries_resume_and_book_the_outage_as_loss() {
         run.client.reconnects >= 1,
         "disconnects forced reconnects (seed {SEED:#x})"
     );
+    assert!(
+        run.client.retries >= run.client.reconnects,
+        "every reconnect follows a failed write (seed {SEED:#x})"
+    );
     assert!(!run.client.gave_up);
     assert_exact_books(
         &run.session,

@@ -5,7 +5,7 @@
 //! Observability that drifts from the books is worse than none.
 //!
 //! Also pins the determinism claim: the tick-domain latency histograms
-//! (and every other non-wall-clock series) are a pure function of the
+//! (and every other series) are a pure function of the
 //! delivered byte stream, so two identical chaos runs render
 //! byte-identical Prometheus snapshots.
 
