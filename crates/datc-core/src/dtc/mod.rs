@@ -111,11 +111,6 @@ impl Dtc {
         &self.config
     }
 
-    /// The interval ROM in use.
-    pub fn interval_table(&self) -> &IntervalTable {
-        &self.table
-    }
-
     /// Current threshold code (`Set_Vth`).
     pub fn vth_code(&self) -> u8 {
         self.set_vth

@@ -118,7 +118,6 @@ pub trait TickSink {
 /// A sink recording only threshold-crossing events.
 #[derive(Debug, Clone)]
 pub struct EventSink {
-    clock_hz: f64,
     tick_period_s: f64,
     events: Vec<Event>,
 }
@@ -127,7 +126,6 @@ impl EventSink {
     /// Creates a sink for a kernel clocked at `clock_hz`.
     pub fn new(clock_hz: f64) -> Self {
         EventSink {
-            clock_hz,
             tick_period_s: 1.0 / clock_hz,
             events: Vec::new(),
         }
@@ -136,15 +134,6 @@ impl EventSink {
     /// Events recorded so far.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Finishes into an [`EventStream`] over `duration_s` seconds.
-    pub fn into_stream(self, duration_s: f64) -> EventStream {
-        EventStream::new(
-            self.events,
-            self.clock_hz,
-            duration_s.max(f64::MIN_POSITIVE),
-        )
     }
 }
 

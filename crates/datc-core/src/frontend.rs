@@ -47,12 +47,6 @@ impl AnalogFrontEnd {
         self
     }
 
-    /// Sets the saturation rail (volts).
-    pub fn with_supply(mut self, supply_v: f64) -> Self {
-        self.supply_v = supply_v;
-        self
-    }
-
     /// Enables or disables full-wave rectification.
     pub fn with_rectification(mut self, rectify: bool) -> Self {
         self.rectify = rectify;

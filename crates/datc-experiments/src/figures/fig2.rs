@@ -28,11 +28,6 @@ pub struct Fig2Result {
 }
 
 impl Fig2Result {
-    /// Number of frames the toy signal was split into.
-    pub fn n_frames(&self) -> usize {
-        self.datc_per_frame.len()
-    }
-
     /// Coefficient of variation of per-frame counts (lower = more
     /// balanced firing — D-ATC's goal).
     pub fn balance(counts: &[usize]) -> f64 {

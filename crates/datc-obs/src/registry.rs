@@ -107,32 +107,6 @@ impl Histogram {
         self.inner.sum.fetch_add(value, RELAXED);
     }
 
-    /// Records a batch of observations in one pass: buckets accumulate
-    /// in a stack-local array and flush with a single `fetch_add` per
-    /// touched bucket, so the per-value cost is a `leading_zeros` and a
-    /// local increment instead of three shared-cache atomics. Use this
-    /// on per-event hot paths.
-    pub fn observe_iter<I: IntoIterator<Item = u64>>(&self, values: I) {
-        let mut local = [0u64; BUCKETS];
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        for v in values {
-            local[(64 - v.leading_zeros()) as usize] += 1;
-            count += 1;
-            sum = sum.wrapping_add(v);
-        }
-        if count == 0 {
-            return;
-        }
-        for (bucket, &n) in local.iter().enumerate() {
-            if n > 0 {
-                self.inner.buckets[bucket].fetch_add(n, RELAXED);
-            }
-        }
-        self.inner.count.fetch_add(count, RELAXED);
-        self.inner.sum.fetch_add(sum, RELAXED);
-    }
-
     /// Merges a pre-bucketed batch: `counts[i]` observations landing in
     /// bucket `i` of the [`BUCKETS`] log-scale layout `observe` uses,
     /// with `sum` the batch's total observed value. For hot paths that
@@ -453,10 +427,6 @@ mod tests {
             reference.observe(v);
         }
 
-        let iter = Histogram::default();
-        iter.observe_iter(values.iter().copied());
-        assert_eq!(iter.snapshot(), reference.snapshot(), "observe_iter");
-
         let bucketed = Histogram::default();
         let mut counts = [0u64; BUCKETS];
         let mut sum = 0u64;
@@ -472,9 +442,8 @@ mod tests {
         );
 
         // empty batches must not touch count/sum
-        iter.observe_iter(std::iter::empty());
         bucketed.observe_bucketed(&[0u64; BUCKETS], 999);
-        assert_eq!(iter.count(), reference.count());
+        assert_eq!(bucketed.count(), reference.count());
         assert_eq!(bucketed.sum(), reference.sum());
     }
 

@@ -247,18 +247,6 @@ impl NetlistBuilder {
         }
     }
 
-    /// Word-wide 2:1 mux.
-    pub fn mux2_word(&mut self, sel: Net, a: &[Net], b: &[Net]) -> Vec<Net> {
-        let w = a.len().max(b.len());
-        (0..w)
-            .map(|i| {
-                let ai = a.get(i).copied().unwrap_or(GND);
-                let bi = b.get(i).copied().unwrap_or(GND);
-                self.mux2(sel, ai, bi)
-            })
-            .collect()
-    }
-
     /// ROM word: a 4-entry constant table addressed by 2 select bits —
     /// per output bit a 4:1 mux that constant-folds wherever entries
     /// agree (the paper's pre-computed interval table).

@@ -219,8 +219,6 @@ pub struct RiceInversionReconstructor {
     dac: Dac,
     nu0_hz: f64,
     window_s: f64,
-    /// Fixed threshold for ATC streams (None → use transmitted codes).
-    fixed_vth: Option<f64>,
 }
 
 impl RiceInversionReconstructor {
@@ -237,14 +235,7 @@ impl RiceInversionReconstructor {
             dac,
             nu0_hz,
             window_s,
-            fixed_vth: None,
         }
-    }
-
-    /// Uses a fixed, a-priori-known threshold (ATC reception).
-    pub fn with_fixed_vth(mut self, vth: f64) -> Self {
-        self.fixed_vth = Some(vth);
-        self
     }
 
     /// The expected ν₀ for an ideal band-pass `[f_lo, f_hi]` Gaussian
@@ -258,11 +249,8 @@ impl Reconstructor for RiceInversionReconstructor {
     fn reconstruct(&self, events: &EventStream, output_fs: f64) -> Signal {
         let rate = sliding_rate(events, self.window_s, output_fs);
         // Threshold trajectory at the same rate.
-        let vth_track: Vec<f64> = match self.fixed_vth {
-            Some(v) => vec![v; rate.len()],
-            None => ThresholdTrackReconstructor::new(self.dac.clone(), 1.0 / output_fs)
-                .code_track(events, output_fs),
-        };
+        let vth_track = ThresholdTrackReconstructor::new(self.dac.clone(), 1.0 / output_fs)
+            .code_track(events, output_fs);
         let data: Vec<f64> = rate
             .samples()
             .iter()

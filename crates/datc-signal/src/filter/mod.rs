@@ -35,13 +35,6 @@ pub trait Filter {
     }
 }
 
-/// Applies a filter forward over a slice after resetting it (convenience
-/// for one-shot batch filtering).
-pub fn filtfilt_forward<F: Filter>(filter: &mut F, xs: &[f64]) -> Vec<f64> {
-    filter.reset();
-    filter.process_slice(xs)
-}
-
 /// Zero-phase filtering: forward pass, then backward pass (like MATLAB's
 /// `filtfilt`). Doubles the filter order and removes group delay; used when
 /// comparing envelopes where phase lag would bias correlation.

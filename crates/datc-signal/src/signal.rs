@@ -97,11 +97,6 @@ impl Signal {
         self.samples
     }
 
-    /// Returns the time (seconds) of sample `i`.
-    pub fn time_of(&self, i: usize) -> f64 {
-        i as f64 / self.sample_rate
-    }
-
     /// Full-wave rectified copy (`|x|`), the first step of the paper's
     /// front-end before thresholding.
     pub fn to_rectified(&self) -> Signal {

@@ -92,16 +92,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64, SignalError> {
     Ok(sxy / (sxx * syy).sqrt())
 }
 
-/// Pearson correlation as a percentage, the unit used throughout the paper
-/// ("correlates by ∼96 %").
-///
-/// # Errors
-///
-/// Same as [`pearson`].
-pub fn correlation_percent(x: &[f64], y: &[f64]) -> Result<f64, SignalError> {
-    Ok(pearson(x, y)? * 100.0)
-}
-
 /// Normalised cross-correlation of `x` and `y` at integer lag `lag`
 /// (positive lag delays `y`). Sequences must be equally long.
 ///

@@ -229,11 +229,6 @@ impl<E: SpikeEncoder> UwbTx<E> {
         &self.encoder
     }
 
-    /// The configured channel.
-    pub fn channel_model(&self) -> &SymbolChannel {
-        &self.channel
-    }
-
     /// Encodes `rectified` and transports the events across the channel.
     pub fn transmit(&self, rectified: &Signal) -> Transmission<E::Output> {
         self.transmit_encoded(self.encoder.encode(rectified))
