@@ -14,7 +14,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use datc_bench::timing::{interleaved_ratio, measure, median};
+use datc_bench::timing::{interleaved_ratio, measure};
 use datc_core::config::DatcConfig;
 use datc_core::encoder::TraceLevel;
 use datc_engine::FleetRunner;
@@ -22,12 +22,10 @@ use datc_obs::Registry;
 use datc_signal::generator::semg_fleet;
 use datc_uwb::aer::AddressedEvent;
 use datc_wire::chaos::{ChaosLink, ChaosProfile};
-use datc_wire::flow::{AimdConfig, FlowConfig};
 use datc_wire::gateway::{stream_fleet, HubConfig, TelemetryHub};
 use datc_wire::obs::SessionObs;
 use datc_wire::packet::{encode_session, Packetizer, SessionHeader};
 use datc_wire::session::{SessionRx, SessionRxConfig};
-use datc_wire::udp::{UdpPacing, UdpSessionSender, UdpTelemetryHub};
 use datc_wire::{EventBatch, StreamDecoder};
 
 fn main() {
@@ -244,102 +242,6 @@ fn main() {
          ({gateway_events_per_s:.0} events/s decoded+reconstructed)"
     );
 
-    // --- goodput under loss: repair on vs off ----------------------------
-    // One UDP session through the deterministic lossy chaos profile,
-    // with and without receiver-driven flow control, both paced to the
-    // same datagram rate. Goodput = events actually decoded at the hub
-    // per second of wall time, *including* the repair path's feedback
-    // round trips and close-of-session drain — the honest cost of
-    // winning the lost events back. Rounds alternate execution order
-    // and share a pinned seed per round, so both variants face the
-    // identical fault schedule (repairs bypass the chaos link and
-    // cannot perturb it).
-    let goodput_band = AimdConfig {
-        floor_datagrams_per_s: 2_000.0,
-        ceiling_datagrams_per_s: 20_000.0,
-        ..AimdConfig::default()
-    };
-    let goodput_pacing = UdpPacing {
-        burst: goodput_band.burst,
-        inter_burst: std::time::Duration::from_secs_f64(
-            f64::from(goodput_band.burst) / goodput_band.ceiling_datagrams_per_s,
-        ),
-    };
-    let udp_goodput = |repair: bool, seed: u64| -> (u64, f64) {
-        let config = HubConfig {
-            session: SessionRxConfig {
-                feedback_every: Some(std::time::Duration::from_millis(1)),
-                // Parking slack for the repair round trip at 20 k
-                // datagrams/s (64-event frames keep this under the
-                // default parked-bytes cap).
-                reorder_window: 1024,
-                ..SessionRxConfig::default()
-            },
-            ..HubConfig::default()
-        };
-        let hub = UdpTelemetryHub::bind("127.0.0.1:0", config).expect("bind");
-        let mut tx = UdpSessionSender::connect_with(hub.local_addr(), header, goodput_pacing)
-            .expect("connect")
-            .with_chaos(ChaosLink::new(seed, ChaosProfile::lossy()));
-        if repair {
-            tx = tx.with_flow(FlowConfig {
-                aimd: goodput_band,
-                replay_bytes: 4 << 20,
-                drain: std::time::Duration::from_millis(500),
-            });
-        }
-        let start = Instant::now();
-        for chunk in merged.chunks(64) {
-            tx.send_events(chunk).expect("send under chaos");
-        }
-        tx.finish().expect("finish under chaos");
-        let sessions = hub.shutdown();
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(sessions.len(), 1, "one chaos session");
-        (sessions[0].report.stats.events_decoded, elapsed)
-    };
-    let goodput_rounds = if quick { 3 } else { 5 };
-    let mut on_rates = Vec::with_capacity(goodput_rounds);
-    let mut off_rates = Vec::with_capacity(goodput_rounds);
-    let mut on_delivered = Vec::with_capacity(goodput_rounds);
-    let mut off_delivered = Vec::with_capacity(goodput_rounds);
-    for round in 0..goodput_rounds {
-        let seed = 0xD47C_F100 + round as u64;
-        let (on, off) = if round % 2 == 0 {
-            (udp_goodput(true, seed), udp_goodput(false, seed))
-        } else {
-            let off = udp_goodput(false, seed);
-            (udp_goodput(true, seed), off)
-        };
-        assert!(
-            on.0 >= off.0,
-            "repair must never deliver less (round {round}: {} vs {})",
-            on.0,
-            off.0
-        );
-        on_delivered.push(on.0 as f64);
-        off_delivered.push(off.0 as f64);
-        on_rates.push(on.0 as f64 / on.1);
-        off_rates.push(off.0 as f64 / off.1);
-    }
-    let goodput_on = median(&mut on_rates);
-    let goodput_off = median(&mut off_rates);
-    let delivered_on = median(&mut on_delivered);
-    let delivered_off = median(&mut off_delivered);
-    // Fraction of the chaos-dropped events the repair path won back.
-    let recovery_pct = if n_events as f64 > delivered_off {
-        (delivered_on - delivered_off) / (n_events as f64 - delivered_off) * 100.0
-    } else {
-        100.0
-    };
-    println!(
-        "goodput, repair off       {goodput_off:>14.0} events/s delivered ({:.1} % of sent)",
-        delivered_off / n_events as f64 * 100.0
-    );
-    println!(
-        "goodput, repair on        {goodput_on:>14.0} events/s delivered ({recovery_pct:.1} % of losses repaired)"
-    );
-
     // --- machine-readable artifact ---------------------------------------
     // Quick and full artifacts measure different workloads (2 s × 6
     // sessions vs 10 s × 32): gateway sessions/s is dominated by
@@ -379,15 +281,6 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"metrics_overhead_pct\": {metrics_overhead_pct:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"goodput_repair_off_events_per_s\": {goodput_off:.0},\n"
-    ));
-    json.push_str(&format!(
-        "  \"goodput_repair_on_events_per_s\": {goodput_on:.0},\n"
-    ));
-    json.push_str(&format!(
-        "  \"goodput_repair_recovery_pct\": {recovery_pct:.2},\n"
     ));
     json.push_str(&format!("  \"gateway_sessions\": {n_sessions},\n"));
     json.push_str(&format!(

@@ -52,10 +52,6 @@ impl EncodedOutput for AtcOutput {
         &self.events
     }
 
-    fn into_events(self) -> EventStream {
-        self.events
-    }
-
     fn duty_cycle(&self) -> f64 {
         AtcOutput::duty_cycle(self)
     }

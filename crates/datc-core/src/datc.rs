@@ -64,10 +64,6 @@ impl EncodedOutput for DatcOutput {
         &self.events
     }
 
-    fn into_events(self) -> EventStream {
-        self.events
-    }
-
     fn duty_cycle(&self) -> f64 {
         DatcOutput::duty_cycle(self)
     }

@@ -1,6 +1,6 @@
 //! The unified encoder API: the [`SpikeEncoder`] trait, per-tick
-//! [`TickSink`] consumers, opt-in trace capture via [`TraceLevel`], and
-//! the multi-channel [`EncoderBank`].
+//! [`TickSink`] consumers and opt-in trace capture via [`TraceLevel`].
+//! Multi-channel encoding goes through `datc-engine`'s `FleetRunner`.
 //!
 //! Every spike-encoding scheme in the workspace — D-ATC
 //! ([`DatcEncoder`](crate::datc::DatcEncoder)), fixed-threshold ATC
@@ -13,7 +13,7 @@
 //! use datc_signal::Signal;
 //!
 //! fn air_symbols<E: SpikeEncoder>(enc: &E, s: &Signal) -> u64 {
-//!     enc.encode(s).into_events().symbol_count(enc.vth_bits())
+//!     enc.encode(s).events().symbol_count(enc.vth_bits())
 //! }
 //!
 //! let s = Signal::from_fn(2500.0, 1.0, |t| (t * 40.0).sin().abs() * 0.5);
@@ -50,9 +50,6 @@ pub enum TraceLevel {
 pub trait EncodedOutput {
     /// The threshold-crossing events, ready for the IR-UWB modulator.
     fn events(&self) -> &EventStream;
-
-    /// Consumes the output, keeping only the event stream.
-    fn into_events(self) -> EventStream;
 
     /// Fraction of evaluated instants with the comparator high — the
     /// quantity the D-ATC controller regulates, and a cheap activity
@@ -292,87 +289,6 @@ impl TickSink for DatcOutputBuilder {
     }
 }
 
-/// A bank of per-channel encoders for multi-channel (AER) systems.
-///
-/// Encodes N signals with N independent encoder instances; the merged
-/// single-link transport lives in `datc-uwb::aer` (see
-/// `merge_encoder_bank`).
-///
-/// # Example
-///
-/// ```
-/// use datc_core::{DatcConfig, DatcEncoder, EncoderBank, SpikeEncoder};
-/// use datc_signal::Signal;
-///
-/// let bank = EncoderBank::replicate(DatcEncoder::new(DatcConfig::paper()), 2);
-/// let ch0 = Signal::from_fn(2500.0, 1.0, |t| (t * 40.0).sin().abs() * 0.5);
-/// let ch1 = Signal::from_fn(2500.0, 1.0, |t| (t * 25.0).sin().abs() * 0.3);
-/// let streams = bank.encode_events(&[ch0, ch1]);
-/// assert_eq!(streams.len(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EncoderBank<E> {
-    encoders: Vec<E>,
-}
-
-impl<E: SpikeEncoder> EncoderBank<E> {
-    /// Builds a bank from per-channel encoders (possibly with different
-    /// configurations per channel).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty bank.
-    pub fn new(encoders: Vec<E>) -> Self {
-        assert!(!encoders.is_empty(), "encoder bank needs ≥ 1 channel");
-        EncoderBank { encoders }
-    }
-
-    /// Builds an `n`-channel bank of clones of `encoder`.
-    pub fn replicate(encoder: E, n: usize) -> Self
-    where
-        E: Clone,
-    {
-        assert!(n > 0, "encoder bank needs ≥ 1 channel");
-        EncoderBank {
-            encoders: vec![encoder; n],
-        }
-    }
-
-    /// Number of channels.
-    pub fn channels(&self) -> usize {
-        self.encoders.len()
-    }
-
-    /// The per-channel encoders.
-    pub fn encoders(&self) -> &[E] {
-        &self.encoders
-    }
-
-    /// Encodes one signal per channel, returning the full per-channel
-    /// outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `signals.len()` differs from the channel count.
-    pub fn encode_all(&self, signals: &[Signal]) -> Vec<E::Output> {
-        assert_eq!(signals.len(), self.encoders.len(), "one signal per channel");
-        self.encoders
-            .iter()
-            .zip(signals)
-            .map(|(e, s)| e.encode(s))
-            .collect()
-    }
-
-    /// Encodes one signal per channel, keeping only the event streams
-    /// (the AER merger's input).
-    pub fn encode_events(&self, signals: &[Signal]) -> Vec<EventStream> {
-        self.encode_all(signals)
-            .into_iter()
-            .map(EncodedOutput::into_events)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,26 +336,6 @@ mod tests {
             DatcEncoder::new(DatcConfig::paper().with_trace_level(TraceLevel::Events)).encode(&s);
         assert_eq!(full.events, lean.events);
         assert!((full.duty_cycle() - lean.duty_cycle()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn bank_encodes_each_channel_independently() {
-        let bank = EncoderBank::replicate(DatcEncoder::new(DatcConfig::paper()), 3);
-        let signals = [test_signal(0.2), test_signal(0.5), test_signal(0.9)];
-        let outs = bank.encode_all(&signals);
-        assert_eq!(outs.len(), 3);
-        // each channel matches a standalone encode of its own signal
-        for (out, s) in outs.iter().zip(&signals) {
-            let solo = DatcEncoder::new(DatcConfig::paper()).encode(s);
-            assert_eq!(out.events, solo.events);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one signal per channel")]
-    fn bank_rejects_channel_mismatch() {
-        let bank = EncoderBank::replicate(DatcEncoder::new(DatcConfig::paper()), 2);
-        let _ = bank.encode_all(&[test_signal(0.5)]);
     }
 
     #[test]

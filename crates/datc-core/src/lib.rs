@@ -22,9 +22,9 @@
 //!   a [`TickSink`](encoder::TickSink), the zero-per-tick-allocation
 //!   fast path.
 //!
-//! Multi-channel systems fan out through an [`EncoderBank`] into the AER
-//! merger of `datc-uwb`, and whole transmit→receive chains compose with
-//! the `Link` builder in `datc-rx`.
+//! Multi-channel encoding goes through `datc-engine`'s `FleetRunner`,
+//! which feeds the AER merger of `datc-uwb`, and whole transmit→receive
+//! chains compose with the `Link` builder in `datc-rx`.
 //!
 //! ## Throughput
 //!
@@ -90,6 +90,6 @@ pub mod stream;
 pub use bank::{BankEventSink, BankSink, BankStream};
 pub use config::{DatcConfig, FrameSize};
 pub use datc::{DatcEncoder, DatcOutput};
-pub use encoder::{EncodedOutput, EncoderBank, SpikeEncoder, TraceLevel};
+pub use encoder::{EncodedOutput, SpikeEncoder, TraceLevel};
 pub use error::CoreError;
 pub use event::{Event, EventStream};

@@ -6,9 +6,7 @@
 //! models a fixed dead time during which a second event is lost —
 //! acceptable because "artifacts effect is similar to pulse missing".
 
-use datc_core::encoder::{EncoderBank, SpikeEncoder};
 use datc_core::event::{Event, EventStream};
-use datc_signal::Signal;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -232,32 +230,6 @@ pub fn demux(
         .into_iter()
         .map(|evs| EventStream::new(evs, tick_rate_hz, duration_s))
         .collect()
-}
-
-/// Fans an [`EncoderBank`] out over per-channel signals and merges the
-/// resulting streams onto one serial AER link — the multi-channel
-/// front half of the unified pipeline API.
-///
-/// # Example
-///
-/// ```
-/// use datc_core::{DatcConfig, DatcEncoder, EncoderBank, TraceLevel};
-/// use datc_uwb::aer::merge_encoder_bank;
-/// use datc_signal::Signal;
-///
-/// let cfg = DatcConfig::paper().with_trace_level(TraceLevel::Events);
-/// let bank = EncoderBank::replicate(DatcEncoder::new(cfg), 2);
-/// let ch0 = Signal::from_fn(2500.0, 1.0, |t| (t * 40.0).sin().abs() * 0.5);
-/// let ch1 = Signal::from_fn(2500.0, 1.0, |t| (t * 31.0).sin().abs() * 0.4);
-/// let report = merge_encoder_bank(&bank, &[ch0, ch1], 25e-6);
-/// assert!(!report.merged.is_empty());
-/// ```
-pub fn merge_encoder_bank<E: SpikeEncoder>(
-    bank: &EncoderBank<E>,
-    signals: &[Signal],
-    dead_time_s: f64,
-) -> MergeReport {
-    merge_channels(&bank.encode_events(signals), dead_time_s)
 }
 
 /// Number of address bits needed for `n_channels`.

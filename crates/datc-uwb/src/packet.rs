@@ -160,10 +160,6 @@ impl EncodedOutput for PacketOutput {
         &self.events
     }
 
-    fn into_events(self) -> EventStream {
-        self.events
-    }
-
     /// Every sample slot transmits — the always-on strawman.
     fn duty_cycle(&self) -> f64 {
         1.0

@@ -139,7 +139,6 @@ pub struct AimdController {
     config: AimdConfig,
     rate: f64,
     seen_lost: u64,
-    raises: u64,
     throttles: u64,
 }
 
@@ -160,7 +159,6 @@ impl AimdController {
             config,
             rate: config.ceiling_datagrams_per_s,
             seen_lost: 0,
-            raises: 0,
             throttles: 0,
         }
     }
@@ -178,11 +176,6 @@ impl AimdController {
     /// Multiplicative decreases applied so far.
     pub fn throttles(&self) -> u64 {
         self.throttles
-    }
-
-    /// Additive increases applied so far.
-    pub fn raises(&self) -> u64 {
-        self.raises
     }
 
     /// The current rate as burst pacing for
@@ -208,7 +201,6 @@ impl AimdController {
         } else {
             self.rate = (self.rate + self.config.additive_increase_per_s)
                 .min(self.config.ceiling_datagrams_per_s);
-            self.raises += 1;
         }
         self.pacing()
     }
@@ -386,7 +378,6 @@ pub struct FlowSession {
     replay: ReplayBuffer,
     last_feedback: Option<FeedbackSummary>,
     feedback_rx: u64,
-    foreign_feedback: u64,
     repairs_frames: u64,
     repairs_events: u64,
     /// The hole at the release cursor the previous feedback reported
@@ -411,7 +402,6 @@ impl FlowSession {
             replay: ReplayBuffer::new(config.replay_bytes),
             last_feedback: None,
             feedback_rx: 0,
-            foreign_feedback: 0,
             repairs_frames: 0,
             repairs_events: 0,
             last_hole: None,
@@ -423,7 +413,7 @@ impl FlowSession {
         &self.config
     }
 
-    /// The AIMD controller (rate, raise/throttle tallies).
+    /// The AIMD controller (rate, throttle tally).
     pub fn aimd(&self) -> &AimdController {
         &self.aimd
     }
@@ -443,25 +433,20 @@ impl FlowSession {
         self.feedback_rx
     }
 
-    /// Feedback reports dropped for a foreign session nonce.
-    pub fn foreign_feedback(&self) -> u64 {
-        self.foreign_feedback
-    }
-
-    /// DATA frames retransmitted so far.
+    /// DATA frames retransmitted so far (what
+    /// [`ClientReport::repairs`](crate::gateway::ClientReport::repairs)
+    /// reports).
     pub fn repairs_frames(&self) -> u64 {
         self.repairs_frames
     }
 
-    /// Events retransmitted so far (what
-    /// [`ClientReport::repairs`](crate::gateway::ClientReport::repairs)
-    /// reports).
+    /// Events those retransmitted frames carry, summed.
     pub fn repairs_events(&self) -> u64 {
         self.repairs_events
     }
 
     /// Processes one feedback report. `nonce` is this session's — a
-    /// report carrying any other nonce is counted and ignored.
+    /// report carrying any other nonce is ignored.
     ///
     /// Every replayed frame overlapping a listed hole is resent once; a
     /// frame at the release cursor is resent again when the cursor
@@ -479,7 +464,6 @@ impl FlowSession {
         drain: bool,
     ) -> FlowDecision {
         if fb.nonce != nonce {
-            self.foreign_feedback += 1;
             return FlowDecision {
                 pacing: self.aimd.pacing(),
                 repairs: Vec::new(),
@@ -608,7 +592,6 @@ mod tests {
         aimd.observe(&fb(100, 50, 0, 0));
         aimd.observe(&fb(200, 50, 0, 0));
         assert_eq!(aimd.rate_datagrams_per_s(), 200.0);
-        assert_eq!(aimd.raises(), 2);
 
         // pressure at the threshold counts as congestion without loss
         aimd.observe(&fb(300, 50, 0, AimdConfig::default().pressure_threshold));
@@ -737,13 +720,12 @@ mod tests {
     }
 
     #[test]
-    fn foreign_nonce_feedback_is_counted_and_ignored() {
+    fn foreign_nonce_feedback_is_ignored() {
         let mut flow = FlowSession::new(FlowConfig::default());
         flow.record_sent(0, 8, &[0xC0; 30]);
         let before = flow.aimd().rate_datagrams_per_s();
         let d = flow.on_feedback(fb(0, 999, 8, 255), 0x99, 8, false);
         assert!(d.repairs.is_empty());
-        assert_eq!(flow.foreign_feedback(), 1);
         assert_eq!(flow.feedback_rx(), 0);
         assert_eq!(
             flow.aimd().rate_datagrams_per_s(),

@@ -772,8 +772,8 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// No retries: any connect/write failure is immediately fatal.
-    /// This is the default, preserving fail-fast semantics for
-    /// senders that never opted into resilience.
+    /// [`SessionSender::connect`] uses it, preserving fail-fast
+    /// semantics for senders that never opted into resilience.
     pub fn none() -> RetryPolicy {
         RetryPolicy {
             max_retries: 0,
@@ -797,12 +797,6 @@ impl RetryPolicy {
             .max(self.base_delay);
         let j = chaos::unit_f64(chaos::lane(self.jitter_seed, u64::from(attempt), 0xB0FF));
         exp / 2 + exp.mul_f64(0.5 * j)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
     }
 }
 

@@ -490,8 +490,8 @@ impl UdpSessionSender {
     }
 
     /// The flow-control state, when installed via
-    /// [`with_flow`](UdpSessionSender::with_flow) — rate, raise and
-    /// throttle tallies, repair counts, last accepted feedback.
+    /// [`with_flow`](UdpSessionSender::with_flow) — rate, throttle
+    /// tally, repair counts, last accepted feedback.
     pub fn flow(&self) -> Option<&FlowSession> {
         self.transport.flow.as_ref()
     }
@@ -499,12 +499,6 @@ impl UdpSessionSender {
     /// The active pacing.
     pub fn pacing(&self) -> UdpPacing {
         self.transport.pacing
-    }
-
-    /// Datagrams the peer refused so far (see
-    /// [`ClientReport::datagrams_refused`]).
-    pub fn datagrams_refused(&self) -> u64 {
-        self.transport.refused
     }
 }
 

@@ -9,11 +9,12 @@
 //!
 //! Run with: `cargo run --release --example exoskeleton_control`
 
-use datc::core::{DatcConfig, DatcEncoder, EncoderBank, TraceLevel};
+use datc::core::DatcConfig;
+use datc::engine::FleetRunner;
 use datc::rx::{HybridReconstructor, Reconstructor};
 use datc::signal::generator::{ForceProfile, SemgGenerator, SemgModel};
 use datc::signal::stats::pearson;
-use datc::uwb::aer::{address_bits, demux, merge_encoder_bank};
+use datc::uwb::aer::{address_bits, demux};
 
 fn main() {
     let fs = 2500.0;
@@ -44,24 +45,22 @@ fn main() {
     .map(|(force, gain, seed)| gen.generate(force, *seed).to_scaled(*gain).to_rectified())
     .collect();
 
-    // --- encoder bank + AER merge over one serial IR-UWB link ---------------
-    // One D-ATC encoder per electrode (events-only trace: hot path), then
-    // dead time = 5 symbols × 1 µs symbol slot on the shared link.
-    let bank = EncoderBank::replicate(
-        DatcEncoder::new(DatcConfig::paper().with_trace_level(TraceLevel::Events)),
-        electrodes.len(),
-    );
-    let merge = merge_encoder_bank(&bank, &electrodes, 5e-6);
+    // --- fleet encode + AER merge over one serial IR-UWB link ---------------
+    // One D-ATC encoder per electrode (bit-exact with standalone
+    // encoders), then dead time = 5 symbols × 1 µs symbol slot on the
+    // shared link.
+    let fleet = FleetRunner::new(DatcConfig::paper(), electrodes.len()).expect("valid fleet");
+    let (_, merge) = fleet.encode_merged(&electrodes, 5e-6);
     println!(
         "AER: {} channels ({} address bits), {} events merged, {} collisions",
-        bank.channels(),
-        address_bits(bank.channels()),
+        fleet.channels(),
+        address_bits(fleet.channels()),
         merge.merged.len(),
         merge.collisions
     );
 
     // --- receiver: demux, reconstruct, drive the actuator -------------------
-    let streams = demux(&merge.merged, bank.channels(), 2000.0, duration);
+    let streams = demux(&merge.merged, fleet.channels(), 2000.0, duration);
     let recon = HybridReconstructor::paper();
     let estimates: Vec<_> = streams
         .iter()

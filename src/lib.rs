@@ -9,8 +9,7 @@
 //! * [`signal`] — sEMG synthesis, DSP, and the 190-pattern corpus;
 //! * [`core`] — the unified [`SpikeEncoder`](core::SpikeEncoder) API:
 //!   D-ATC and ATC encoders over one cycle-accurate streaming kernel,
-//!   opt-in trace capture ([`TraceLevel`](core::TraceLevel)), and the
-//!   multi-channel [`EncoderBank`](core::EncoderBank);
+//!   and opt-in trace capture ([`TraceLevel`](core::TraceLevel));
 //! * [`uwb`] — IR-UWB pulses, OOK event patterns, channel, AER merging,
 //!   and the packet/ADC baseline (also a
 //!   [`SpikeEncoder`](core::SpikeEncoder));
@@ -24,10 +23,10 @@
 //!   plus its [`UdpTelemetryHub`](wire::UdpTelemetryHub) datagram
 //!   counterpart;
 //! * [`obs`] — the lock-light metrics layer: [`Registry`](obs::Registry),
-//!   counters/gauges/log-scale histograms, Prometheus-text and JSON
-//!   exporters, and the stage-span clock — every layer above publishes
-//!   into it (`datc_fleet_*` from the engine, `datc_rx_*` /
-//!   `datc_session_*` / `datc_hub_*` from the wire);
+//!   counters/gauges/log-scale histograms, and Prometheus-text and JSON
+//!   exporters — every layer above publishes into it (`datc_fleet_*`
+//!   from the engine, `datc_rx_*` / `datc_session_*` / `datc_hub_*` from
+//!   the wire);
 //! * [`rtl`] — the gate-level DTC, cell library, synthesis and power
 //!   reports (Table I);
 //! * [`experiments`] — runners regenerating every figure and table.
@@ -88,26 +87,6 @@
 //! println!("{} events at duty {:.1} %", out.events.len(), out.duty_cycle() * 100.0);
 //! ```
 //!
-//! ## Multi-channel: an encoder bank into one AER link
-//!
-//! N electrodes share one serial IR-UWB link through the
-//! Address-Event-Representation merger:
-//!
-//! ```
-//! use datc::core::{DatcConfig, DatcEncoder, EncoderBank, TraceLevel};
-//! use datc::signal::Signal;
-//! use datc::uwb::aer::{demux, merge_encoder_bank};
-//!
-//! let cfg = DatcConfig::paper().with_trace_level(TraceLevel::Events);
-//! let bank = EncoderBank::replicate(DatcEncoder::new(cfg), 4);
-//! let electrodes: Vec<Signal> = (0..4)
-//!     .map(|c| Signal::from_fn(2500.0, 1.0, move |t| (t * (40.0 + c as f64)).sin().abs() * 0.5))
-//!     .collect();
-//! let merged = merge_encoder_bank(&bank, &electrodes, 5e-6);
-//! let per_channel = demux(&merged.merged, 4, 2000.0, 1.0);
-//! assert_eq!(per_channel.len(), 4);
-//! ```
-//!
 //! Real-time consumers drive the streaming kernel directly — see
 //! [`core::stream::DatcStream`] (`tick` for one sample at a time,
 //! `push_chunk` for allocation-free chunked encoding).
@@ -117,7 +96,10 @@
 //! For whole electrode fleets, [`engine::FleetRunner`] shards channels
 //! across worker threads, each running the struct-of-arrays
 //! [`core::bank::BankStream`] kernel, bit-exact with per-channel
-//! encoding and deterministic for any thread count:
+//! encoding and deterministic for any thread count.
+//! [`encode_merged`](engine::FleetRunner::encode_merged) also puts every
+//! channel onto one serial IR-UWB link through the
+//! Address-Event-Representation merger:
 //!
 //! ```
 //! use datc::core::DatcConfig;
@@ -174,8 +156,8 @@ pub use datc_wire as wire;
 /// Everything a typical consumer needs in scope.
 pub mod prelude {
     pub use datc_core::{
-        DatcConfig, DatcEncoder, DatcOutput, EncodedOutput, EncoderBank, Event, EventStream,
-        FrameSize, SpikeEncoder, TraceLevel,
+        DatcConfig, DatcEncoder, DatcOutput, EncodedOutput, Event, EventStream, FrameSize,
+        SpikeEncoder, TraceLevel,
     };
     pub use datc_engine::{FleetOutput, FleetRunner};
     pub use datc_obs::{render_json, render_prometheus, Registry};

@@ -2,13 +2,14 @@
 //! pipeline assembled from the unified `SpikeEncoder` / `Link` API.
 
 use datc::core::atc::AtcEncoder;
-use datc::core::{DatcConfig, DatcEncoder, EncoderBank, SpikeEncoder, TraceLevel};
+use datc::core::{DatcConfig, DatcEncoder, SpikeEncoder, TraceLevel};
+use datc::engine::FleetRunner;
 use datc::rx::pipeline::Link;
 use datc::rx::{HybridReconstructor, RateReconstructor, Reconstructor};
 use datc::signal::dataset::{Dataset, DatasetConfig};
 use datc::signal::envelope::arv_envelope;
 use datc::signal::generator::{ForceProfile, SemgGenerator, SemgModel};
-use datc::uwb::aer::{demux, merge_encoder_bank};
+use datc::uwb::aer::{demux, merge_channels};
 use datc::uwb::channel::SymbolChannel;
 use datc::uwb::energy::TxEnergyModel;
 
@@ -80,25 +81,32 @@ fn symbolized_codes_roundtrip_through_patterns() {
 }
 
 #[test]
-fn multichannel_bank_aer_preserves_per_channel_force() {
+fn multichannel_fleet_aer_preserves_per_channel_force() {
     let fs = 2500.0;
     let force_a = ForceProfile::mvc_protocol().samples(fs, 20.0);
     let force_b: Vec<f64> = force_a.iter().rev().copied().collect();
     let gen = SemgGenerator::new(SemgModel::modulated_noise(), fs);
 
-    let sig_a = gen.generate(&force_a, 10).to_scaled(0.5).to_rectified();
-    let sig_b = gen.generate(&force_b, 11).to_scaled(0.5).to_rectified();
+    let signals = [
+        gen.generate(&force_a, 10).to_scaled(0.5).to_rectified(),
+        gen.generate(&force_b, 11).to_scaled(0.5).to_rectified(),
+    ];
 
-    let bank = EncoderBank::replicate(
-        DatcEncoder::new(DatcConfig::paper().with_trace_level(TraceLevel::Events)),
-        2,
-    );
-    let merged = merge_encoder_bank(&bank, &[sig_a.clone(), sig_b.clone()], 5e-6);
+    let cfg = DatcConfig::paper().with_trace_level(TraceLevel::Events);
+    let (_, merged) = FleetRunner::new(cfg, 2)
+        .unwrap()
+        .encode_merged(&signals, 5e-6);
+    // the fleet's merge is the merge of one standalone encoder per channel
+    let standalone: Vec<_> = signals
+        .iter()
+        .map(|s| DatcEncoder::new(cfg).encode(s).events)
+        .collect();
+    assert_eq!(merged, merge_channels(&standalone, 5e-6));
     let streams = demux(&merged.merged, 2, 2000.0, 20.0);
 
     let recon = HybridReconstructor::paper();
-    let arv_a = arv_envelope(&sig_a, 0.25);
-    let arv_b = arv_envelope(&sig_b, 0.25);
+    let arv_a = arv_envelope(&signals[0], 0.25);
+    let arv_b = arv_envelope(&signals[1], 0.25);
     let score_a = datc::rx::evaluate(&recon.reconstruct(&streams[0], 100.0), &arv_a, 0.3).unwrap();
     let score_b = datc::rx::evaluate(&recon.reconstruct(&streams[1], 100.0), &arv_b, 0.3).unwrap();
     assert!(score_a.percent > 85.0, "channel A {:.1}", score_a.percent);
