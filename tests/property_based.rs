@@ -14,6 +14,7 @@ use datc::rtl::verify::lockstep;
 use datc::rx::{HybridReconstructor, RateReconstructor, Reconstructor};
 use datc::signal::resample::ZohResampler;
 use datc::signal::Signal;
+use datc::uwb::aer::{demux, merge_channels};
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = DatcConfig> {
@@ -244,6 +245,51 @@ proptest! {
         let a = FleetRunner::new(config, channels).unwrap().with_threads(threads_a).encode(&signals);
         let b = FleetRunner::new(config, channels).unwrap().with_threads(threads_b).encode(&signals);
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fleet_aer_link_demuxes_to_each_standalone_encoder(
+        signal in arb_signal(),
+        channels in 1usize..7,
+        threads in 1usize..5,
+        dead_time_us in 0.0f64..50.0,
+    ) {
+        // N electrodes share one AER link: the fleet's merge is the merge
+        // of one standalone encoder per channel, every event is either on
+        // the link or booked as a collision, and with no dead time the
+        // receiver's demux gives back each channel's stream exactly.
+        let config = DatcConfig::paper().with_trace_level(TraceLevel::Events);
+        let signals: Vec<datc::signal::Signal> = (0..channels)
+            .map(|c| {
+                let mut s = signal.clone();
+                for v in s.samples_mut() {
+                    *v *= 0.5 + 0.1 * c as f64;
+                }
+                s
+            })
+            .collect();
+        let standalone: Vec<EventStream> = signals
+            .iter()
+            .map(|s| DatcEncoder::new(config).encode(s).events)
+            .collect();
+        let total: usize = standalone.iter().map(EventStream::len).sum();
+
+        let dead_time_s = dead_time_us * 1e-6;
+        let fleet = FleetRunner::new(config, channels).unwrap().with_threads(threads);
+        let (out, merged) = fleet.encode_merged(&signals, dead_time_s);
+        prop_assert_eq!(&merged, &merge_channels(&standalone, dead_time_s));
+        prop_assert_eq!(merged.merged.len() + merged.collisions, total);
+
+        let lossless = out.merge_aer(0.0);
+        prop_assert_eq!(lossless.collisions, 0);
+        let timebase = &standalone[0];
+        let streams = demux(
+            &lossless.merged,
+            channels,
+            timebase.tick_rate_hz(),
+            timebase.duration_s(),
+        );
+        prop_assert_eq!(streams, standalone);
     }
 
     #[test]
