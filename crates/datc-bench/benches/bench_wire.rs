@@ -1,5 +1,7 @@
 //! Wire subsystem throughput: packet codec (events/s, bytes/event) and
-//! the loopback telemetry gateway (sessions/s, events/s).
+//! the observability overhead of a session's receive pipeline. The TCP
+//! gateway's session lifecycle is timed end to end by perfbench's
+//! `tcp_ingest` workload.
 //!
 //! Hand-rolled harness (plain `main`, `harness = false`) like
 //! `bench_fleet`: every run rewrites a machine-readable artifact at the
@@ -8,8 +10,8 @@
 //! diffable across PRs.
 //!
 //! Modes:
-//! * full (default): 10 s recordings, 8 channels, 32 gateway sessions;
-//! * `--quick`: 2 s recordings, 6 gateway sessions.
+//! * full (default): 10 s recordings, 8 channels;
+//! * `--quick`: 2 s recordings, fewer timing rounds.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -22,7 +24,6 @@ use datc_obs::Registry;
 use datc_signal::generator::semg_fleet;
 use datc_uwb::aer::AddressedEvent;
 use datc_wire::chaos::{ChaosLink, ChaosProfile};
-use datc_wire::gateway::{stream_fleet, HubConfig, TelemetryHub};
 use datc_wire::obs::SessionObs;
 use datc_wire::packet::{encode_session, Packetizer, SessionHeader};
 use datc_wire::session::{SessionRx, SessionRxConfig};
@@ -30,11 +31,7 @@ use datc_wire::{EventBatch, StreamDecoder};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (seconds, n_sessions, samples) = if quick {
-        (2.0, 6u32, 2)
-    } else {
-        (10.0, 32u32, 4)
-    };
+    let (seconds, samples) = if quick { (2.0, 2) } else { (10.0, 4) };
     let channels = 8usize;
     let dead_time = 25e-6;
 
@@ -208,54 +205,16 @@ fn main() {
         "metrics-on decode         {metrics_speedup:>14.3} x plain ({metrics_overhead_pct:+.2} % overhead)"
     );
 
-    // --- gateway: n concurrent sessions over TCP loopback ----------------
-    let rounds = if quick { 2 } else { 3 };
-    let mut best_sessions_per_s = 0.0f64;
-    for _ in 0..rounds {
-        let hub = TelemetryHub::bind("127.0.0.1:0", HubConfig::default()).expect("bind");
-        let addr = hub.local_addr();
-        let start = Instant::now();
-        let shared = std::sync::Arc::new(fleet.clone());
-        let senders: Vec<_> = (0..n_sessions)
-            .map(|id| {
-                let fleet = std::sync::Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    stream_fleet(addr, id, &fleet, dead_time).expect("stream")
-                })
-            })
-            .collect();
-        for s in senders {
-            s.join().expect("sender");
-        }
-        let sessions = hub.shutdown();
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(sessions.len(), n_sessions as usize);
-        for s in &sessions {
-            assert_eq!(s.report.stats.events_lost, 0, "loopback is lossless");
-            assert_eq!(s.report.stats.events_decoded, n_events);
-        }
-        best_sessions_per_s = best_sessions_per_s.max(n_sessions as f64 / elapsed);
-    }
-    let gateway_events_per_s = best_sessions_per_s * n_events as f64;
-    println!(
-        "gateway ({n_sessions} sessions)     {best_sessions_per_s:>14.1} sessions/s  \
-         ({gateway_events_per_s:.0} events/s decoded+reconstructed)"
-    );
-
     // --- machine-readable artifact ---------------------------------------
-    // Quick and full artifacts measure different workloads (2 s × 6
-    // sessions vs 10 s × 32): gateway sessions/s is dominated by
-    // per-session setup in quick mode and reads ~3× the full figure.
-    // The comment rides inside the artifact so the divergence is
-    // documented where the numbers live; bench_check only ever
-    // compares quick against quick.
+    // Quick and full artifacts measure different workloads (2 s vs 10 s
+    // recordings, fewer rounds in quick mode). The comment rides inside
+    // the artifact so the divergence is documented where the numbers
+    // live; bench_check only ever compares quick against quick.
     let comment = if quick {
-        "quick CI smoke (2 s x 6 sessions): gateway sessions/s is ~3x the full run's \
-         figure because per-session setup dominates short sessions; compare only \
-         against quick baselines (bench_check enforces this)"
+        "quick CI smoke (2 s recordings, fewer rounds): compare only against quick \
+         baselines (bench_check enforces this)"
     } else {
-        "full baseline (10 s x 32 sessions): not comparable with the --quick artifact, \
-         whose short sessions inflate gateway sessions/s ~3x"
+        "full baseline (10 s recordings): not comparable with the --quick artifact"
     };
     let mut json = String::new();
     json.push_str("{\n");
@@ -280,14 +239,7 @@ fn main() {
         "  \"decode_with_metrics_speedup\": {metrics_speedup:.4},\n"
     ));
     json.push_str(&format!(
-        "  \"metrics_overhead_pct\": {metrics_overhead_pct:.3},\n"
-    ));
-    json.push_str(&format!("  \"gateway_sessions\": {n_sessions},\n"));
-    json.push_str(&format!(
-        "  \"gateway_sessions_per_s\": {best_sessions_per_s:.2},\n"
-    ));
-    json.push_str(&format!(
-        "  \"gateway_events_per_s\": {gateway_events_per_s:.0}\n"
+        "  \"metrics_overhead_pct\": {metrics_overhead_pct:.3}\n"
     ));
     json.push_str("}\n");
 

@@ -120,16 +120,16 @@ pub mod regression {
     //! <fresh> …`). The tolerance is deliberately generous — the shared
     //! vCPU CI host drifts ±20 % run to run (see ROADMAP "Perf
     //! trajectory") — so the gate catches *collapses* (a hot path gone
-    //! accidentally scalar, a lock on the gateway fast path), not
+    //! accidentally scalar, an allocation per event in the decoder), not
     //! single-digit noise.
     //!
     //! ## Like-for-like only
     //!
-    //! Quick artifacts are **not** comparable with full runs: e.g.
-    //! `BENCH_wire.quick.json` measures 2 s × 6-session gateway rounds
-    //! whose per-session setup dominates, reporting ~3× the sessions/s
-    //! of the full 10 s × 32-session run. The gate therefore refuses
-    //! any artifact pair that is not `"quick": true` on both sides.
+    //! Quick artifacts are **not** comparable with full runs: they time
+    //! shorter inputs over fewer rounds (e.g. `BENCH_wire.quick.json`
+    //! decodes 2 s recordings, the full run 10 s ones). The gate
+    //! therefore refuses any artifact pair that is not `"quick": true`
+    //! on both sides.
     //!
     //! ## What counts as a metric
     //!

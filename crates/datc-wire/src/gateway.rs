@@ -2,15 +2,16 @@
 //! multiplexing many concurrent sensor sessions, and what both hubs
 //! share.
 //!
-//! Architecture: one acceptor thread owns the listener and gives each
+//! Architecture: one acceptor thread blocks in `accept` and gives each
 //! connection a blocking reader thread; all of them drive the hub's one
 //! socket-free session core behind a lock. Readers feed it their reads,
 //! each running through its session's
 //! [`SessionRx`](crate::session::SessionRx) pipeline (decode → demux →
-//! online reconstruct); the acceptor ticks it every poll quantum and
-//! closes the connections it retires. A TCP hub writes nothing back:
-//! FEEDBACK is a UDP matter, where it drives the sender's pacing and
-//! repair. Finished sessions land in a shared [`SessionTable`] the
+//! online reconstruct); the hub's worker thread ticks it every poll
+//! quantum, closes the connections it retires and, on shutdown, wakes
+//! the acceptor with a connection of its own. A TCP hub writes nothing
+//! back: FEEDBACK is a UDP matter, where it drives the sender's pacing
+//! and repair. Finished sessions land in a shared [`SessionTable`] the
 //! owner inspects with [`TelemetryHub::snapshot`]. The same table (and
 //! the same conn-id space) can be shared with a
 //! [`UdpTelemetryHub`](crate::udp::UdpTelemetryHub), so one operator
@@ -80,7 +81,7 @@ use datc_uwb::aer::AddressedEvent;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::marker::PhantomData;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -111,11 +112,12 @@ pub const DEFAULT_RESUME_WINDOW: Duration = Duration::from_secs(5);
 /// [`HubConfig::bye_grace`]).
 pub const DEFAULT_BYE_GRACE: Duration = Duration::from_millis(10);
 
-/// Poll quantum of both hub shells: the TCP acceptor's accept poll and
-/// back-off after a failed accept, and the UDP receive timeout (also its
-/// post-stop drain quantum: the receive loop keeps decoding until one
-/// full quantum passes with the socket empty); also the UDP sender's
-/// back-off when its drain cannot wait on the socket.
+/// Poll quantum of both hub shells: the TCP worker's tick (and the
+/// longest its shutdown wake waits to connect, retried next tick), the
+/// TCP acceptor's back-off after a failed accept, and the UDP receive
+/// timeout (also its post-stop drain quantum: the receive loop keeps
+/// decoding until one full quantum passes with the socket empty); also
+/// the UDP sender's back-off when its drain cannot wait on the socket.
 pub(crate) const POLL: Duration = Duration::from_millis(2);
 
 /// Gateway tuning.
@@ -443,8 +445,8 @@ impl SessionTable {
 pub type SinkFactory = Arc<dyn Fn(u64) -> Box<dyn SessionSink> + Send + Sync>;
 
 /// A telemetry ingest gateway bound to a local address: a background
-/// thread (the TCP acceptor with its per-connection readers, or the UDP
-/// receive loop) serves sessions into a [`SessionTable`] until
+/// thread (the TCP worker with its acceptor and per-connection readers,
+/// or the UDP receive loop) serves sessions into a [`SessionTable`] until
 /// [`shutdown`](Hub::shutdown). Use it as [`TelemetryHub`] (TCP) or
 /// [`UdpTelemetryHub`](crate::udp::UdpTelemetryHub); `K` is the
 /// transport marker ([`Tcp`] or [`Udp`](crate::udp::Udp)).
@@ -603,13 +605,15 @@ impl TelemetryHub {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Hub::spawn(addr, table, move |table, stop| {
-            accept_loop(listener, HubCore::new(config, table, sink_factory), stop)
+            let core = HubCore::new(config, table, sink_factory);
+            tick_loop(listener, addr, core, stop)
         }))
     }
 }
 
 /// The TCP hub's [`HubCore`] and a handle on every open connection to
-/// close it by, shared by the acceptor and the connection readers.
+/// close it by, shared by the worker, the acceptor and the connection
+/// readers.
 struct Shared {
     core: HubCore<u64>,
     conns: HashMap<u64, TcpStream>,
@@ -633,73 +637,44 @@ impl Shared {
     }
 }
 
-/// The TCP shell: accepts connections into the core, starts a reader
-/// per connection and ticks the core every poll quantum.
-fn accept_loop(listener: TcpListener, core: HubCore<u64>, stop: Arc<AtomicBool>) {
-    // Non-blocking accept + short poll: a blocking accept could not be
-    // woken for shutdown without racing real connections still sitting
-    // in the kernel backlog.
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
+/// The TCP shell's worker: starts the acceptor, ticks the core every
+/// poll quantum and runs shutdown. On a stop request it wakes the
+/// acceptor out of its blocking accept, then serves the established
+/// connections to their end.
+fn tick_loop(listener: TcpListener, addr: SocketAddr, core: HubCore<u64>, stop: Arc<AtomicBool>) {
     let shared = Arc::new(Mutex::new(Shared {
         core,
         conns: HashMap::new(),
         actions: Vec::new(),
     }));
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_conn = 0u64;
-    let mut accepting = true;
-    // Established connections run to their end after a stop request.
-    while accepting || !shared.lock().expect("hub core poisoned").conns.is_empty() {
+    let wake_peer = Arc::new(Mutex::new(None));
+    let mut acceptor = Some({
+        let shared = Arc::clone(&shared);
+        let wake_peer = Arc::clone(&wake_peer);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || accept_loop(&listener, &shared, &wake_peer, &stop))
+    });
+    let mut readers = Vec::new();
+    let mut wake = None;
+    loop {
         let pass = Instant::now();
-        if accepting {
-            // After a stop request, one last pass drains the backlog.
-            accepting = !stop.load(Ordering::SeqCst);
-            loop {
-                let socket = match listener.accept() {
-                    Ok((socket, _peer)) => socket,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        // e.g. out of file descriptors: back off instead
-                        // of spinning on the error
-                        std::thread::sleep(POLL);
-                        break;
-                    }
-                };
-                // Readers block regardless of what the accepted socket
-                // inherited.
-                let Ok(handle) = socket.try_clone() else {
-                    continue;
-                };
-                if socket.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let conn = next_conn;
-                next_conn += 1;
-                let served = {
-                    let mut guard = shared.lock().expect("hub core poisoned");
-                    guard.conns.insert(conn, handle);
-                    guard.core.on_open(conn, Instant::now());
-                    guard.execute();
-                    guard.conns.contains_key(&conn)
-                };
-                if served {
-                    // not shed: reap finished readers, start this one
-                    readers.retain(|h| !h.is_finished());
-                    let shared = Arc::clone(&shared);
-                    readers.push(std::thread::spawn(move || {
-                        read_connection(conn, socket, &shared)
-                    }));
-                }
-            }
+        if let Some(done) = acceptor.take_if(|h| h.is_finished()) {
+            readers = done.join().expect("hub acceptor panicked");
         }
         {
             let mut guard = shared.lock().expect("hub core poisoned");
+            // Established connections run to their end after a stop
+            // request.
+            if acceptor.is_none() && guard.conns.is_empty() {
+                break;
+            }
             guard.core.tick(Instant::now());
             guard.execute();
         }
-        // Waiting for the lock must not stretch the accept poll past its
+        if acceptor.is_some() && wake.is_none() && stop.load(Ordering::SeqCst) {
+            wake = wake_acceptor(addr, &wake_peer);
+        }
+        // Waiting for the lock must not stretch the tick past its
         // quantum.
         std::thread::sleep(POLL.saturating_sub(pass.elapsed()));
     }
@@ -709,6 +684,87 @@ fn accept_loop(listener: TcpListener, core: HubCore<u64>, stop: Arc<AtomicBool>)
     let shared = Arc::try_unwrap(shared).ok().expect("every reader joined");
     let shared = shared.into_inner().expect("hub core poisoned");
     shared.core.shutdown(Instant::now());
+}
+
+/// Connects to the hub's own address (the loopback of its family when
+/// it is bound to an unspecified one) to wake the acceptor. The slot
+/// stays locked from the connect to the store of the wake's address, so
+/// the acceptor, which compares under the same lock, always finds it
+/// there. `None` when the connect failed; the next tick retries.
+fn wake_acceptor(mut addr: SocketAddr, wake_peer: &Mutex<Option<SocketAddr>>) -> Option<TcpStream> {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let mut slot = wake_peer.lock().expect("wake slot poisoned");
+    let wake = TcpStream::connect_timeout(&addr, POLL).ok()?;
+    *slot = Some(wake.local_addr().ok()?);
+    Some(wake)
+}
+
+/// The TCP hub's acceptor: blocks in `accept`, opens each connection in
+/// the core and starts its reader. The worker's wake connection ends the
+/// blocking phase; the connections queued behind it are drained without
+/// blocking, and the wake itself never reaches the core, where a hub at
+/// its session cap would count it as shed. Returns the readers it
+/// started.
+fn accept_loop(
+    listener: &TcpListener,
+    shared: &Arc<Mutex<Shared>>,
+    wake_peer: &Mutex<Option<SocketAddr>>,
+    stop: &AtomicBool,
+) -> Vec<JoinHandle<()>> {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_conn = 0u64;
+    let mut draining = false;
+    loop {
+        let (socket, peer) = match listener.accept() {
+            Ok(accepted) => accepted,
+            // the backlog is drained, or a failed accept ends the drain
+            Err(_) if draining || stop.load(Ordering::SeqCst) => break,
+            Err(_) => {
+                // e.g. out of file descriptors: back off instead of
+                // spinning on the error
+                std::thread::sleep(POLL);
+                continue;
+            }
+        };
+        if *wake_peer.lock().expect("wake slot poisoned") == Some(peer) {
+            // the worker's wake: drain the backlog behind it, then stop
+            if listener.set_nonblocking(true).is_err() {
+                break;
+            }
+            draining = true;
+            continue;
+        }
+        // Readers block regardless of what the accepted socket inherited.
+        let Ok(handle) = socket.try_clone() else {
+            continue;
+        };
+        if socket.set_nonblocking(false).is_err() {
+            continue;
+        }
+        let conn = next_conn;
+        next_conn += 1;
+        let served = {
+            let mut guard = shared.lock().expect("hub core poisoned");
+            guard.conns.insert(conn, handle);
+            guard.core.on_open(conn, Instant::now());
+            guard.execute();
+            guard.conns.contains_key(&conn)
+        };
+        if served {
+            // not shed: reap finished readers, start this one
+            readers.retain(|h| !h.is_finished());
+            let shared = Arc::clone(shared);
+            readers.push(std::thread::spawn(move || {
+                read_connection(conn, socket, &shared)
+            }));
+        }
+    }
+    readers
 }
 
 /// One connection's reader: feeds every read to the core, then the EOF
@@ -1340,7 +1396,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(hub.health().in_flight, 1, "the session is in flight");
-        // ten poll quanta, twenty feedback periods
+        // ten ticks of the core, twenty feedback periods
         std::thread::sleep(10 * POLL);
         client
             .set_read_timeout(Some(Duration::from_millis(50)))
@@ -1363,6 +1419,80 @@ mod tests {
         assert_eq!(sessions.len(), 1);
         assert!(sessions[0].report.stats.closed);
         assert_eq!(sessions[0].report.stats.events_decoded, 400);
+    }
+
+    #[test]
+    fn shutdown_at_the_session_cap_sheds_nothing() {
+        let config = HubConfig {
+            max_sessions: Some(1),
+            ..HubConfig::default()
+        };
+        let hub = TelemetryHub::bind("127.0.0.1:0", config).unwrap();
+        let table = hub.session_table();
+        let header = SessionHeader::new(31, 1, 2000.0, 1.0);
+        let events: Vec<AddressedEvent> = (0..100)
+            .map(|i| AddressedEvent {
+                channel: 0,
+                event: Event::at_tick(i * 13, header.tick_period_s, Some(1)),
+            })
+            .collect();
+        let mut tx = Packetizer::new(header);
+        let mut client = TcpStream::connect(hub.local_addr()).unwrap();
+        client.write_all(&tx.hello()).unwrap();
+        client.write_all(&tx.data_frames(&events).concat()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while table.health().sessions_started == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(table.health().in_flight, 1, "the hub is at its cap");
+
+        // The stop request wakes the acceptor while the session holds the
+        // cap's one slot; the session ends only after that.
+        let stopping = std::thread::spawn(move || hub.shutdown());
+        std::thread::sleep(20 * POLL);
+        client.write_all(&tx.bye()).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let sessions = stopping.join().unwrap();
+        assert_eq!(sessions.len(), 1);
+        assert_eq!(sessions[0].report.stats.events_decoded, 100);
+        assert!(sessions[0].report.stats.closed);
+        assert_eq!(table.health().shed, 0, "the wake is not a session");
+    }
+
+    #[test]
+    fn an_idle_hub_dropped_without_shutdown_returns() {
+        let hub = hub();
+        let (done, returned) = std::sync::mpsc::channel();
+        let dropping = std::thread::spawn(move || {
+            drop(hub);
+            done.send(()).unwrap();
+        });
+        assert!(
+            returned.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "dropping the hub left its acceptor blocked in accept"
+        );
+        dropping.join().unwrap();
+    }
+
+    #[test]
+    fn a_hub_bound_to_the_unspecified_address_serves_and_shuts_down() {
+        let hub = TelemetryHub::bind("0.0.0.0:0", HubConfig::default()).unwrap();
+        assert!(hub.local_addr().ip().is_unspecified());
+        let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, hub.local_addr().port()));
+        let header = SessionHeader::new(8, 1, 2000.0, 1.0);
+        let events: Vec<AddressedEvent> = (0..50)
+            .map(|i| AddressedEvent {
+                channel: 0,
+                event: Event::at_tick(i * 20, header.tick_period_s, None),
+            })
+            .collect();
+        let mut tx = SessionSender::connect(addr, header).unwrap();
+        tx.send_events(&events).unwrap();
+        tx.finish().unwrap();
+        let sessions = hub.shutdown();
+        assert_eq!(sessions.len(), 1);
+        assert_eq!(sessions[0].report.stats.events_decoded, 50);
+        assert_eq!(sessions[0].report.stats.events_lost, 0);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! state machine (the sans-IO pattern of quinn-proto and h11).
 //!
 //! A [`HubCore`] owns every in-flight session of one hub. Its shell —
-//! the TCP acceptor in [`gateway`](crate::gateway), the UDP receive loop
-//! in [`udp`](crate::udp) — reads the socket, tells the core what
+//! the TCP acceptor, readers and ticking worker in
+//! [`gateway`](crate::gateway), the UDP receive loop in
+//! [`udp`](crate::udp) — reads the socket, tells the core what
 //! happened and when (`on_open`, `on_bytes`, `on_close` of a peer, and
 //! `tick` as time passes), then executes the [`Action`]s the core
 //! answers with: write these FEEDBACK bytes to a peer (only the UDP hub

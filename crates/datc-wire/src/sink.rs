@@ -26,9 +26,9 @@ use std::sync::{Arc, Mutex};
 ///
 /// All methods default to no-ops so a sink implements only what it
 /// consumes. Methods are called from the hub thread driving the
-/// session at the time (a TCP connection's reader or the acceptor,
-/// under the hub's core lock, or the UDP hub's receive thread), never
-/// concurrently for one session.
+/// session at the time (a TCP connection's reader or the hub's ticking
+/// worker, under the hub's core lock, or the UDP hub's receive
+/// thread), never concurrently for one session.
 pub trait SessionSink: Send {
     /// Called with every run of decoded events, in release (time)
     /// order, each event exactly once.
