@@ -1,5 +1,6 @@
-//! Wire subsystem throughput: packet codec (events/s, bytes/event) and
-//! the observability overhead of a session's receive pipeline. The TCP
+//! Wire subsystem throughput: the AER merge that feeds the link, the
+//! packet codec (events/s, bytes/event) and the observability overhead
+//! of a session's receive pipeline. The TCP
 //! gateway's session lifecycle is timed end to end by perfbench's
 //! `tcp_ingest` workload.
 //!
@@ -53,6 +54,20 @@ fn main() {
         "session: {n_events} events over {seconds} s ({:.0} ev/s on air)",
         n_events as f64 / seconds
     );
+
+    // --- AER merge: the fleet's channels onto one serial link -------------
+    // `FleetOutput::merge_aer`, the layer perfbench's `corpus_inproc`
+    // traces as `aer`; the rate counts every encoded event the merge
+    // takes in, collisions included.
+    let fleet_events = fleet.total_events() as u64;
+    let merge_secs = measure(
+        || fleet.merge_aer(dead_time).merged.len() as u64,
+        samples,
+        40,
+        1 << 14,
+    );
+    let merge_rate = fleet_events as f64 / merge_secs;
+    println!("AER merge                 {merge_rate:>14.0} events/s");
 
     // --- codec: wire image & bytes/event ---------------------------------
     let wire = encode_session(header, &merged);
@@ -227,6 +242,7 @@ fn main() {
     json.push_str(&format!(
         "  \"bytes_per_event_framed\": {bytes_per_event:.3},\n"
     ));
+    json.push_str(&format!("  \"aer_merge_events_per_s\": {merge_rate:.0},\n"));
     json.push_str(&format!("  \"packetize_events_per_s\": {pack_rate:.0},\n"));
     json.push_str(&format!("  \"decode_events_per_s\": {decode_rate:.0},\n"));
     json.push_str(&format!(

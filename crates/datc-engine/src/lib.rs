@@ -98,6 +98,11 @@ impl FleetOutput {
 
     /// Merges every channel onto one serial AER link with the given
     /// pattern dead time (see `datc_uwb::aer::merge_channels`).
+    ///
+    /// Every channel runs on the fleet's one clock and stamps its events
+    /// `tick · period`, so the streams pass
+    /// `datc_uwb::aer::shares_tick_clock` and merge on the tick-keyed
+    /// winner tree rather than the stable sort.
     pub fn merge_aer(&self, dead_time_s: f64) -> MergeReport {
         let streams: Vec<&EventStream> = self.channels.iter().map(|c| &c.events).collect();
         merge_channel_refs(&streams, dead_time_s)
@@ -598,6 +603,18 @@ mod tests {
         let (_, b) = fleet.with_threads(2).encode_merged(&signals, 25e-6);
         assert_eq!(a, b);
         assert!(!a.merged.is_empty());
+    }
+
+    #[test]
+    fn fleet_output_shares_the_tick_clock() {
+        // One config, one clock: `merge_aer` takes the tick path.
+        let out = FleetRunner::new(DatcConfig::paper(), 5)
+            .unwrap()
+            .with_threads(2)
+            .encode(&fleet_signals(5, 1.0));
+        let streams: Vec<&EventStream> = out.channels.iter().map(|c| &c.events).collect();
+        assert!(streams.iter().all(|s| !s.is_empty()));
+        assert!(datc_uwb::aer::shares_tick_clock(&streams));
     }
 
     #[test]
